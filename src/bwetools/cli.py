@@ -34,9 +34,15 @@ def _round_floats(obj):
     return obj
 
 
+def _to_json(doc: dict) -> str:
+    try:
+        return json.dumps(_round_floats(doc), indent=1, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"result is not finite: {exc}") from exc
+
+
 def _emit(doc: dict) -> None:
-    json.dump(_round_floats(doc), sys.stdout, indent=1, sort_keys=True)
-    sys.stdout.write("\n")
+    sys.stdout.write(_to_json(doc) + "\n")
 
 
 def _load_config(path: str | None) -> dict:
@@ -56,11 +62,10 @@ def _load_config(path: str | None) -> dict:
 
 def cmd_degrade(args, cfg: dict) -> int:
     wf = signal.load_wav(args.input)
-    low_rate = int(cfg.get("low_rate", args.low_rate))
-    out = signal.degrade(wf, low_rate)
+    out = signal.degrade(wf, args.low_rate)
     signal.save_wav(args.output, out)
     print(
-        f"degraded {args.input} ({wf.rate} Hz) through {low_rate} Hz -> {args.output} "
+        f"degraded {args.input} ({wf.rate} Hz) through {args.low_rate} Hz -> {args.output} "
         f"({len(out)} samples)",
         file=sys.stderr,
     )
@@ -133,8 +138,7 @@ def cmd_features(args, cfg: dict) -> int:
         }
     else:
         raise InvalidArgumentError(f"unknown extractor {args.extractor!r}")
-    with open(out_dir / f"{name}_meta.json", "w") as fh:
-        json.dump(_round_floats(doc), fh, indent=1, sort_keys=True)
+    (out_dir / f"{name}_meta.json").write_text(_to_json(doc))
     _emit(doc)
     return EXIT_OK
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .nld import EmbeddingParams, dfa_fluctuation, local_lyapunov
+from .nld import EmbeddingParams, dfa_fluctuation, lyapunov_exponents
 from .signal import Waveform, frame
 from .spectral import MagPhase, StftConfig, stft, to_mag_phase
 
@@ -83,7 +83,6 @@ def mrld_features(
     signal, or whose exponents have zero variance, are left all-zero and
     flagged degenerate.
     """
-    p = p or EmbeddingParams()
     windows = sorted(int(w) for w in windows)
     if not windows:
         raise InvalidArgumentError("need at least one window size")
@@ -92,17 +91,11 @@ def mrld_features(
     data = np.zeros((len(windows), 1, width))
     channel_meta = []
     for c, w in enumerate(windows):
-        segments = frame(wf, w, w)
-        raw = []
-        degenerate = segments.shape[0] == 0
-        for seg in segments:
-            try:
-                est = local_lyapunov(seg, p)
-            except InvalidArgumentError:
-                degenerate = True
-                break
-            raw.append(est.value)
-        values = np.asarray(raw)
+        try:
+            values, _ = lyapunov_exponents(frame(wf, w, w), p)
+        except InvalidArgumentError:
+            values = np.empty(0)
+        degenerate = values.size == 0
         if not degenerate:
             std = values.std()
             if std > 0:
@@ -123,8 +116,7 @@ def mrld_features(
 
 def mrld_raw_exponents(wf: Waveform, window: int, p: EmbeddingParams | None = None) -> np.ndarray:
     """Unnormalized per-segment exponents for one window size."""
-    p = p or EmbeddingParams()
-    return np.asarray([local_lyapunov(seg, p).value for seg in frame(wf, window, window)])
+    return lyapunov_exponents(frame(wf, window, window), p)[0]
 
 
 def msdfa_features(

@@ -139,7 +139,9 @@ def stoi(ref: Waveform, est: Waveform) -> float:
     Both signals are resampled to 10 kHz; frames more than 40 dB below the
     loudest reference frame are dropped from both; one-third-octave band
     envelopes over 30-frame segments are compared by normalized correlation
-    after scaling and clipping the estimate at the -15 dB SDR bound.
+    after scaling and clipping the estimate at the -15 dB SDR bound. Bands
+    where either envelope is flat over a segment give no correlation; when
+    none is left (e.g. an all-zero estimate) the score is 0.0.
     """
     c = STOI_CONFIG
     if ref.rate != est.rate:
@@ -189,6 +191,8 @@ def stoi(ref: Waveform, est: Waveform) -> float:
         ok = denom > 1e-12
         corr = np.sum(xs * ys, axis=1)[ok] / denom[ok]
         scores.extend(corr.tolist())
+    if not scores:
+        return 0.0
     return float(np.clip(np.mean(scores), 0.0, 1.0))
 
 

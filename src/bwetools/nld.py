@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.spatial.distance import cdist
 
 from .errors import InvalidArgumentError
@@ -19,6 +20,7 @@ __all__ = [
     "PoincareDescriptors",
     "RecurrencePlot",
     "delay_embed",
+    "lyapunov_exponents",
     "local_lyapunov",
     "dfa_fluctuation",
     "dfa_profile",
@@ -111,42 +113,65 @@ def delay_embed(x, d: int, tau: int) -> np.ndarray:
     return x[idx]
 
 
-def local_lyapunov(segment, p: EmbeddingParams | None = None) -> LyapunovEstimate:
-    """Average one-step-ahead log divergence of nearest neighbors.
+def lyapunov_exponents(segments, p: EmbeddingParams | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Local Lyapunov exponents of equal-length segments, one per row.
 
-    For each embedded point j (with j+delta valid) the nearest neighbor j'
-    outside the Theiler window is found by exact search, and the estimate is
-    the mean of (1/delta) * log((|y[j+delta]-y[j'+delta]| + eps) /
-    (|y[j]-y[j']| + eps)) over all such pairs (Euclidean norm).
+    Per segment: for each embedded point j (with j+delta valid) the nearest
+    neighbor j' outside the Theiler window |j - j'| <= theiler is found by
+    exact search (ties go to the lowest index), and the estimate is the mean
+    of (1/delta) * log((|y[j+delta]-y[j'+delta]| + eps) / (|y[j]-y[j']| + eps))
+    over all such pairs (Euclidean norm). Returns (values, degenerate); a
+    segment with no valid neighbor pair gets 0.0 and degenerate=True.
+    Each segment is searched scaled by the power of two from its peak, so
+    extreme amplitudes do not overflow; the exact scale is undone before eps
+    is added, so in-range results are unchanged.
     """
     p = p or EmbeddingParams()
-    segment = np.asarray(segment, dtype=np.float64)
-    delta, theiler = p.resolved(segment.size)
+    segments = np.asarray(segments, dtype=np.float64)
+    if segments.ndim != 2:
+        raise InvalidArgumentError("segments must be a (count, length) array")
+    count, length = segments.shape
+    delta, theiler = p.resolved(length)
     span = (p.d - 1) * p.tau
-    if segment.size < span + delta + 1:
+    if length < span + delta + 1:
         raise InvalidArgumentError(
-            f"segment of {segment.size} samples too short for embedding span "
+            f"segment of {length} samples too short for embedding span "
             f"{span} plus divergence horizon {delta}"
         )
-    y = delay_embed(segment, p.d, p.tau)
-    m = y.shape[0]
-    n_valid = m - delta  # indices whose future at +delta exists
-    if n_valid < 2:
-        return LyapunovEstimate(0.0, degenerate=True)
-
-    dist = cdist(y[:n_valid], y[:n_valid])
-    j = np.arange(n_valid)
-    dist[np.abs(j[:, None] - j[None, :]) <= theiler] = np.inf
-    nn = np.argmin(dist, axis=1)
-    valid = np.isfinite(dist[j, nn])
-    if not np.any(valid):
-        return LyapunovEstimate(0.0, degenerate=True)
-    j = j[valid]
-    jn = nn[valid]
-    d0 = np.linalg.norm(y[j] - y[jn], axis=1)
-    d1 = np.linalg.norm(y[j + delta] - y[jn + delta], axis=1)
+    n = length - span - delta  # points whose future at +delta exists
+    if n < 2 or count == 0:
+        return np.zeros(count), np.ones(count, dtype=bool)
+    exponent = np.frexp(np.abs(segments).max(axis=1))[1][:, None]
+    scaled = np.ldexp(segments, -exponent)
+    y = np.ascontiguousarray(sliding_window_view(scaled, span + 1, axis=1)[:, :, :: p.tau])
+    buf = np.empty((n, n))
+    flat = buf.ravel()
+    nn = np.empty((count, n), dtype=np.intp)
+    for s in range(count):
+        cdist(y[s, :n], y[s, :n], out=buf)
+        for k in range(min(theiler, n - 1) + 1):  # Theiler window: diagonals +k and -k
+            flat[k : (n - k) * n : n + 1] = flat[k * n :: n + 1] = np.inf
+        buf.argmin(axis=1, out=nn[s])
+    rows = np.arange(count)[:, None]
+    d0 = np.ldexp(np.linalg.norm(y[:, :n] - y[rows, nn], axis=2), exponent)
+    d1 = np.ldexp(np.linalg.norm(y[:, delta:] - y[rows, nn + delta], axis=2), exponent)
     rates = np.log((d1 + p.eps) / (d0 + p.eps)) / delta
-    return LyapunovEstimate(float(np.mean(rates)))
+    j = np.arange(n)
+    # rows with some j' outside the Theiler window and a finite distance to it
+    valid = ((j > theiler) | (j < n - 1 - theiler)) & np.isfinite(d0)
+    values = np.zeros(count)
+    full = valid.all(axis=1)
+    values[full] = rates[full].mean(axis=1)
+    # partly valid rows are compacted first, so their sums keep the 1-D order
+    for s in np.flatnonzero(~full & valid.any(axis=1)):
+        values[s] = rates[s, valid[s]].mean()
+    return values, ~valid.any(axis=1)
+
+
+def local_lyapunov(segment, p: EmbeddingParams | None = None) -> LyapunovEstimate:
+    """`lyapunov_exponents` of one segment."""
+    values, degenerate = lyapunov_exponents(np.asarray(segment, dtype=np.float64).reshape(1, -1), p)
+    return LyapunovEstimate(float(values[0]), bool(degenerate[0]))
 
 
 def dfa_fluctuation(x, n: int) -> float:

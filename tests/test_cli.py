@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from bwetools import metrics, nld
 from bwetools.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
 from bwetools.demo import synthetic_speech
-from bwetools.signal import degrade, load_wav, save_wav
+from bwetools.signal import Waveform, degrade, load_wav, save_wav
 
 
 @pytest.fixture(scope="module")
@@ -37,6 +38,14 @@ class TestDegradeCommand:
 
     def test_missing_input(self, tmp_path):
         assert main(["degrade", str(tmp_path / "nope.wav"), "8000", str(tmp_path / "o.wav")]) == EXIT_IO
+
+    def test_positional_rate_overrides_config(self, clip_path, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"low_rate": 96000}))
+        plain, configured = tmp_path / "plain.wav", tmp_path / "configured.wav"
+        assert main(["degrade", str(clip_path), "8000", str(plain)]) == EXIT_OK
+        assert main(["--config", str(cfg), "degrade", str(clip_path), "8000", str(configured)]) == EXIT_OK
+        assert configured.read_bytes() == plain.read_bytes()
 
     def test_input_untouched(self, clip_path, tmp_path):
         before = clip_path.read_bytes()
@@ -140,6 +149,29 @@ class TestNetinfoCommand:
 
     def test_unknown(self, capsys):
         assert main(["netinfo", "mpd"]) == EXIT_USAGE
+
+
+class TestNonFiniteResults:
+    def test_silent_estimate_is_valid_json(self, clip_path, tmp_path, capsys):
+        silent = tmp_path / "silent.wav"
+        wf = load_wav(clip_path)
+        save_wav(silent, Waveform(np.zeros(len(wf)), wf.rate))
+        assert main(["compare", str(clip_path), str(silent)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["stoi"] == 0.0
+
+    def test_nan_metric_is_usage_error(self, clip_path, capsys, monkeypatch):
+        monkeypatch.setattr(metrics, "stoi", lambda ref, est: float("nan"))
+        assert main(["compare", str(clip_path), str(clip_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite" in captured.err
+
+    def test_nan_feature_writes_no_sidecar(self, clip_path, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(nld, "poincare_sd", lambda x: nld.PoincareDescriptors(float("nan"), 1.0))
+        out_dir = tmp_path / "poincare"
+        assert main(["features", str(clip_path), "poincare", str(out_dir)]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+        assert not (out_dir / "poincare_meta.json").exists()
 
 
 class TestConfig:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bwetools.demo import synthetic_speech
 from bwetools.errors import InvalidArgumentError
 from bwetools.featmaps import (
     DEFAULT_DFA_SCALES,
@@ -69,6 +70,15 @@ class TestMrld:
         a = mrld_features(wf)
         b = mrld_features(wf)
         np.testing.assert_array_equal(a.data, b.data)
+
+    def test_extreme_amplitude(self):
+        wf = synthetic_speech(duration=0.5, seed=0)
+        base = mrld_features(wf)
+        big = mrld_features(Waveform(wf.samples * 1e200, wf.rate))
+        assert not any(c["degenerate"] for c in big.meta["channels"])
+        assert np.all(np.isfinite(big.data))
+        # only eps (1e-8, negligible next to 1e200 distances) tells them apart
+        np.testing.assert_allclose(big.data, base.data, atol=1e-3)
 
 
 class TestMsdfa:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,13 @@ class TestStoi:
             score = stoi(speech_clip, est)
             assert score <= prev
             prev = score
+
+    def test_silent_estimate_scores_zero(self, speech_clip):
+        silent = Waveform(np.zeros(len(speech_clip)), speech_clip.rate)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert stoi(speech_clip, silent) == 0.0
+            assert evaluate(speech_clip, silent).stoi == 0.0
 
     def test_preconditions(self, speech_clip):
         with pytest.raises(InvalidArgumentError):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
+from bwetools.demo import synthetic_speech
 from bwetools.errors import InvalidArgumentError
+from bwetools.featmaps import DEFAULT_LYAPUNOV_WINDOWS, mrld_features, mrld_raw_exponents
 from bwetools.nld import (
     EmbeddingParams,
     delay_embed,
@@ -11,9 +14,11 @@ from bwetools.nld import (
     dfa_fluctuation,
     dfa_profile,
     local_lyapunov,
+    lyapunov_exponents,
     poincare_sd,
     recurrence_plot,
 )
+from bwetools.signal import frame, load_wav, save_wav
 from conftest import logistic_orbit
 
 SCALES = (100, 200, 300, 500, 600)
@@ -79,6 +84,101 @@ class TestLocalLyapunov:
     def test_too_short(self):
         with pytest.raises(InvalidArgumentError):
             local_lyapunov(np.ones(4), EmbeddingParams(d=3, tau=2, delta=2))
+
+
+def reference_lyapunov(segment, p):
+    """Dense one-segment estimator the batched kernel must match bit for bit:
+    full distance matrix, O(m^2) Theiler mask, argmin (lowest index on ties)."""
+    segment = np.asarray(segment, dtype=np.float64)
+    delta, theiler = p.resolved(segment.size)
+    y = delay_embed(segment, p.d, p.tau)
+    n_valid = y.shape[0] - delta
+    if n_valid < 2:
+        return 0.0, True
+    dist = cdist(y[:n_valid], y[:n_valid])
+    j = np.arange(n_valid)
+    dist[np.abs(j[:, None] - j[None, :]) <= theiler] = np.inf
+    nn = np.argmin(dist, axis=1)
+    valid = np.isfinite(dist[j, nn])
+    if not np.any(valid):
+        return 0.0, True
+    j = j[valid]
+    jn = nn[valid]
+    d0 = np.linalg.norm(y[j] - y[jn], axis=1)
+    d1 = np.linalg.norm(y[j + delta] - y[jn + delta], axis=1)
+    return float(np.mean(np.log((d1 + p.eps) / (d0 + p.eps)) / delta)), False
+
+
+def pcm16(x):
+    return np.round(np.clip(x, -1.0, 32767.0 / 32768.0) * 32768.0) / 32768.0
+
+
+class TestLyapunovKernel:
+    @given(
+        kind=st.sampled_from(["random", "sine", "constant", "pcm16"]),
+        seed=st.integers(0, 2**16),
+        count=st.integers(1, 4),
+        extra=st.integers(0, 60),
+        d=st.integers(1, 4),
+        tau=st.integers(1, 3),
+        delta=st.one_of(st.none(), st.integers(1, 8)),
+        theiler=st.one_of(st.none(), st.integers(0, 40)),
+        scale=st.sampled_from([1.0, 1e-3, 37.0]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dense_reference(self, kind, seed, count, extra, d, tau, delta, theiler, scale):
+        p = EmbeddingParams(d=d, tau=tau, delta=delta, theiler=theiler)
+        span = (d - 1) * tau
+        length = span + (delta or 1) + 1 + extra
+        assume(length >= span + p.resolved(length)[0] + 1)
+        rng = np.random.default_rng(seed)
+        if kind == "sine":
+            period = rng.uniform(3.0, 40.0)
+            x = np.sin(2 * np.pi * np.arange(count * length) / period + rng.uniform(0, 6))
+        elif kind == "constant":
+            x = np.full(count * length, rng.uniform(-1, 1))
+        else:
+            x = rng.uniform(-1, 1, count * length)
+            if kind == "pcm16":
+                x = pcm16(0.01 * x)  # few levels: many exact distance ties
+        segments = scale * x.reshape(count, length)
+        values, degenerate = lyapunov_exponents(segments, p)
+        for s, seg in enumerate(segments):
+            value, flag = reference_lyapunov(seg, p)
+            assert values[s] == value and degenerate[s] == flag
+            est = local_lyapunov(seg, p)
+            assert est.value == value and est.degenerate == flag
+
+    def test_degenerate_cases(self):
+        p = EmbeddingParams(d=2, tau=1, delta=1, theiler=0)
+        # n_valid = 1 < 2
+        values, degenerate = lyapunov_exponents(np.ones((2, 3)), p)
+        assert degenerate.all() and np.all(values == 0.0)
+        # theiler >= n_valid masks every pair
+        p = EmbeddingParams(d=2, tau=1, delta=1, theiler=9)
+        values, degenerate = lyapunov_exponents(np.sin(np.arange(24.0)).reshape(2, 12), p)
+        assert degenerate.all() and np.all(values == 0.0)
+        # no segments at all
+        values, degenerate = lyapunov_exponents(np.empty((0, 64)), EmbeddingParams())
+        assert values.shape == degenerate.shape == (0,)
+
+    def test_bad_shapes_raise(self):
+        with pytest.raises(InvalidArgumentError):
+            lyapunov_exponents(np.ones((3, 4)), EmbeddingParams(d=3, tau=2, delta=2))
+        with pytest.raises(InvalidArgumentError):
+            lyapunov_exponents(np.ones(64))
+
+    def test_mrld_matches_reference_on_pcm16_speech(self, tmp_path):
+        path = tmp_path / "speech.wav"
+        save_wav(path, synthetic_speech(duration=0.5, seed=3), encoding="pcm16")
+        wf = load_wav(path)
+        p = EmbeddingParams()
+        stack = mrld_features(wf)
+        for c, w in enumerate(DEFAULT_LYAPUNOV_WINDOWS):
+            expected = np.array([reference_lyapunov(seg, p)[0] for seg in frame(wf, w, w)])
+            assert np.array_equal(mrld_raw_exponents(wf, w), expected)
+            z = (expected - expected.mean()) / expected.std()
+            assert np.array_equal(stack.data[c, 0, : expected.size], z)
 
 
 class TestDfa:
