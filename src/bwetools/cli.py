@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: degrade, features, compare, netinfo. JSON results go to
-standard output (floats fixed to 6 significant digits for reproducible
-byte-identical reruns), diagnostics to standard error. Exit codes: 0 ok,
+Subcommands: degrade, features, compare, netinfo. features, compare and
+netinfo write a JSON result to standard output (floats fixed to 6
+significant digits for reproducible byte-identical reruns); degrade writes
+only the output WAV. Diagnostics go to standard error. Exit codes: 0 ok,
 2 I/O failure, 3 invalid arguments.
 """
 
@@ -14,7 +15,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import featmaps, metrics, netshape, signal, spectral
+from . import featmaps, metrics, netshape, nld, signal, spectral
 from .errors import InvalidArgumentError, UnreadableFileError, UnsupportedEncodingError
 
 EXIT_OK = 0
@@ -87,58 +88,67 @@ def _write_stack(stack: featmaps.FeatureMapStack, out_dir: Path, name: str) -> d
     }
 
 
+def _mrld(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
+    windows = cfg.get("windows", featmaps.DEFAULT_LYAPUNOV_WINDOWS)
+    return _write_stack(featmaps.mrld_features(wf, windows), out_dir, "mrld")
+
+
+def _msdfa(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
+    scales = cfg.get("scales", featmaps.DEFAULT_DFA_SCALES)
+    side = int(cfg.get("side", 64))
+    return _write_stack(featmaps.msdfa_features(wf, scales, side), out_dir, "msdfa")
+
+
+def _mrad_mrpd(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
+    mr_cfg = featmaps.MultiResSpecConfig()
+    grids = featmaps.mrad_mrpd_features(wf, mr_cfg)
+    files = []
+    for r, mp in enumerate(grids):
+        for tag, grid in (("mag", mp.mag), ("phase", mp.phase)):
+            base = out_dir / f"mrad_mrpd_res{r}_{tag}"
+            spectral.write_csv(base.with_suffix(".csv"), grid)
+            spectral.write_f32(base.with_suffix(".f32"), grid)
+            files.append(base.with_suffix(".csv").name)
+    return {
+        "extractor": "mrad_mrpd",
+        "resolutions": featmaps.resolution_params(mr_cfg),
+        "files": files,
+    }
+
+
+def _rp(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
+    plot = nld.recurrence_plot(wf.samples, int(cfg.get("max_size", 512)))
+    base = out_dir / "recurrence"
+    spectral.write_csv(base.with_suffix(".csv"), plot.matrix)
+    return {
+        "extractor": "rp",
+        "shape": list(plot.matrix.shape),
+        "threshold": plot.threshold,
+        "files": [base.with_suffix(".csv").name],
+    }
+
+
+def _poincare(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
+    desc = nld.poincare_sd(wf.samples)
+    return {"extractor": "poincare", "sd1": desc.sd1, "sd2": desc.sd2, "clamped": desc.clamped}
+
+
+# extractor name -> (waveform, config, output directory) -> result document
+EXTRACTORS = {
+    "mrld": _mrld,
+    "msdfa": _msdfa,
+    "mrad_mrpd": _mrad_mrpd,
+    "rp": _rp,
+    "poincare": _poincare,
+}
+
+
 def cmd_features(args, cfg: dict) -> int:
     wf = signal.load_wav(args.input)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    name = args.extractor
-    if name == "mrld":
-        windows = cfg.get("windows", featmaps.DEFAULT_LYAPUNOV_WINDOWS)
-        doc = _write_stack(featmaps.mrld_features(wf, windows), out_dir, name)
-    elif name == "msdfa":
-        scales = cfg.get("scales", featmaps.DEFAULT_DFA_SCALES)
-        side = int(cfg.get("side", 64))
-        doc = _write_stack(featmaps.msdfa_features(wf, scales, side), out_dir, name)
-    elif name == "mrad_mrpd":
-        mr_cfg = featmaps.MultiResSpecConfig()
-        grids = featmaps.mrad_mrpd_features(wf, mr_cfg)
-        files = []
-        for r, mp in enumerate(grids):
-            for tag, grid in (("mag", mp.mag), ("phase", mp.phase)):
-                base = out_dir / f"{name}_res{r}_{tag}"
-                spectral.write_csv(base.with_suffix(".csv"), grid)
-                spectral.write_f32(base.with_suffix(".f32"), grid)
-                files.append(base.with_suffix(".csv").name)
-        doc = {
-            "extractor": name,
-            "resolutions": featmaps.resolution_params(mr_cfg),
-            "files": files,
-        }
-    elif name == "rp":
-        from .nld import recurrence_plot
-
-        plot = recurrence_plot(wf.samples, int(cfg.get("max_size", 512)))
-        base = out_dir / "recurrence"
-        spectral.write_csv(base.with_suffix(".csv"), plot.matrix)
-        doc = {
-            "extractor": name,
-            "shape": list(plot.matrix.shape),
-            "threshold": plot.threshold,
-            "files": [base.with_suffix(".csv").name],
-        }
-    elif name == "poincare":
-        from .nld import poincare_sd
-
-        desc = poincare_sd(wf.samples)
-        doc = {
-            "extractor": name,
-            "sd1": desc.sd1,
-            "sd2": desc.sd2,
-            "clamped": desc.clamped,
-        }
-    else:
-        raise InvalidArgumentError(f"unknown extractor {args.extractor!r}")
-    (out_dir / f"{name}_meta.json").write_text(_to_json(doc))
+    doc = EXTRACTORS[args.extractor](wf, cfg, out_dir)
+    (out_dir / f"{args.extractor}_meta.json").write_text(_to_json(doc))
     _emit(doc)
     return EXIT_OK
 
@@ -151,16 +161,16 @@ def cmd_compare(args, cfg: dict) -> int:
     return EXIT_OK
 
 
+# network name -> netinfo document
+NETWORKS = {
+    "mrld": lambda: netshape.describe_net(netshape.build_mrld_cnn()),
+    "msdfa": lambda: netshape.describe_net(netshape.build_msdfa_cnn()),
+    "generator": lambda: netshape.describe_generator(netshape.GeneratorGraph()),
+}
+
+
 def cmd_netinfo(args, cfg: dict) -> int:
-    if args.which == "mrld":
-        doc = netshape.describe_net(netshape.build_mrld_cnn())
-    elif args.which == "msdfa":
-        doc = netshape.describe_net(netshape.build_msdfa_cnn())
-    elif args.which == "generator":
-        doc = netshape.describe_generator(netshape.GeneratorGraph())
-    else:
-        raise InvalidArgumentError(f"unknown network {args.which!r}")
-    _emit(doc)
+    _emit(NETWORKS[args.which]())
     return EXIT_OK
 
 
@@ -171,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
         "simulation, nonlinear-dynamics feature maps, objective metrics, "
         "and network shape inspection.",
     )
-    parser.add_argument("--seed", type=int, default=0, help="seed for any randomized step")
     parser.add_argument("--config", help="flat JSON config file; flags override its values")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -183,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("features", help="extract feature maps to CSV/f32 dumps")
     p.add_argument("input")
-    p.add_argument("extractor", choices=["mrld", "msdfa", "mrad_mrpd", "rp", "poincare"])
+    p.add_argument("extractor", choices=EXTRACTORS)
     p.add_argument("out_dir")
     p.set_defaults(func=cmd_features)
 
@@ -193,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("netinfo", help="network shape and parameter accounting")
-    p.add_argument("which", choices=["mrld", "msdfa", "generator"])
+    p.add_argument("which", choices=NETWORKS)
     p.set_defaults(func=cmd_netinfo)
     return parser
 

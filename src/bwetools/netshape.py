@@ -142,16 +142,26 @@ def build_msdfa_cnn(widths=DEFAULT_MSDFA_WIDTHS, in_channels: int = 5) -> NetDes
 # inference
 
 
+class _ParamDraw:
+    """Seeded uniform(-0.05, 0.05) draws (or zeros) in call order, counting
+    the values handed out."""
+
+    def __init__(self, seed: int, zero: bool):
+        self.rng = np.random.default_rng(seed)
+        self.zero = zero
+        self.count = 0
+
+    def __call__(self, *shape):
+        self.count += int(np.prod(shape))
+        if self.zero:
+            return np.zeros(shape)
+        return self.rng.uniform(-0.05, 0.05, size=shape)
+
+
 def init_weights(net: NetDescriptor, seed: int = 0, zero: bool = False) -> list[dict]:
     """Per-layer weight arrays, drawn uniform(-0.05, 0.05) from a fixed seed
     (or all zeros). Order of draws is fixed so results are reproducible."""
-    rng = np.random.default_rng(seed)
-
-    def draw(*shape):
-        if zero:
-            return np.zeros(shape)
-        return rng.uniform(-0.05, 0.05, size=shape)
-
+    draw = _ParamDraw(seed, zero)
     weights = []
     for layer in net.layers:
         if isinstance(layer, ConvSpec):
@@ -205,48 +215,35 @@ def load_weights(path) -> list[dict]:
     return weights
 
 
-def _pad_spatial(x: np.ndarray, dims: int, k: int) -> np.ndarray:
-    pad = k // 2
-    if dims == 1:
-        return np.pad(x, ((0, 0), (pad, pad)))
-    return np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-
-
-def _conv1d_single(x: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
-    # x: (L,), kernel: (K,) -> correlation with stride
-    k = kernel.size
-    n_out = (x.size - k) // stride + 1
-    if n_out < 1:
-        raise InvalidArgumentError("feature shorter than the receptive field")
-    idx = stride * np.arange(n_out)[:, None] + np.arange(k)[None, :]
-    return x[idx] @ kernel
-
-
-def _conv2d_single(x: np.ndarray, kernel: np.ndarray, stride: int) -> np.ndarray:
-    k = kernel.shape[0]
-    h_out = (x.shape[0] - k) // stride + 1
-    w_out = (x.shape[1] - k) // stride + 1
-    if h_out < 1 or w_out < 1:
+def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """Stride-spaced k-wide windows over the trailing spatial axes of a
+    (C, *S) array zero-padded by k//2 on each side: shape (C, *S_out, k, ...)."""
+    dims = x.ndim - 1
+    xp = np.pad(x, ((0, 0),) + ((k // 2, k // 2),) * dims)
+    if min(xp.shape[1:]) < k:
         raise InvalidArgumentError("feature smaller than the receptive field")
-    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k))[::stride, ::stride]
-    return np.einsum("hwij,ij->hw", windows, kernel)
+    spatial = tuple(range(1, x.ndim))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (k,) * dims, axis=spatial)
+    return windows[(slice(None),) + (slice(None, None, stride),) * dims]
+
+
+def _depthwise(x: np.ndarray, kernel: np.ndarray, stride: int = 1) -> np.ndarray:
+    """Per-channel correlation of a (C, *S) array with a (C, k, ...) kernel."""
+    s, t = "xy"[: x.ndim - 1], "ij"[: x.ndim - 1]
+    return np.einsum(f"c{s}{t},c{t}->c{s}", _windows(x, kernel.shape[-1], stride), kernel)
 
 
 def _apply_conv(x: np.ndarray, layer: ConvSpec, entry: dict) -> np.ndarray:
-    single = _conv1d_single if layer.dims == 1 else _conv2d_single
-    xp = _pad_spatial(x, layer.dims, layer.kernel)
     if layer.kind == "standard":
-        out = np.stack(
-            [
-                sum(single(xp[c], entry["w"][o, c], layer.stride) for c in range(layer.c_in))
-                for o in range(layer.c_out)
-            ]
-        )
+        windows = _windows(x, layer.kernel, layer.stride)
+        # contract w's (c_in, taps...) axes with the windows' (C, ..., taps...)
+        axes = tuple(range(1, 2 + layer.dims)), (0, *range(-layer.dims, 0))
+        out = np.tensordot(entry["w"], windows, axes=axes)
         if layer.bias:
             out += entry["b"].reshape((-1,) + (1,) * layer.dims)
         return out
     # depthwise stage
-    dw = np.stack([single(xp[c], entry["dw"][c], layer.stride) for c in range(layer.c_in)])
+    dw = _depthwise(x, entry["dw"], layer.stride)
     if layer.bias:
         dw += entry["dwb"].reshape((-1,) + (1,) * layer.dims)
     # pointwise 1x1 mixing
@@ -354,19 +351,6 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-class _ParamDraw:
-    def __init__(self, seed: int, zero: bool):
-        self.rng = np.random.default_rng(seed)
-        self.zero = zero
-        self.count = 0
-
-    def __call__(self, *shape):
-        self.count += int(np.prod(shape))
-        if self.zero:
-            return np.zeros(shape)
-        return self.rng.uniform(-0.05, 0.05, size=shape)
-
-
 def _block_params(g: GeneratorGraph, draw: _ParamDraw) -> dict:
     h = g.hidden
     e = g.mlp_ratio * h
@@ -390,10 +374,7 @@ def _run_block(x: np.ndarray, g: GeneratorGraph, p: dict) -> np.ndarray:
     x = x + attn.transpose(1, 0, 2).reshape(t, h) @ p["wo"]
 
     # ConvNeXt sublayer: depthwise conv along time, norm, expand, project.
-    pad = g.conv_kernel // 2
-    xp = np.pad(x, ((pad, pad), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(xp, g.conv_kernel, axis=0)
-    conv = np.einsum("thk,hk->th", windows, p["dw"])
+    conv = _depthwise(x.T, p["dw"]).T
     conv = _gelu(_layer_norm(conv) @ p["cx1"] + p["cx1b"]) @ p["cx2"] + p["cx2b"]
     x = x + conv
 

@@ -150,6 +150,10 @@ class TestNetinfoCommand:
     def test_unknown(self, capsys):
         assert main(["netinfo", "mpd"]) == EXIT_USAGE
 
+    def test_seed_flag_removed(self, capsys):
+        assert main(["--seed", "1", "netinfo", "mrld"]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
 
 class TestNonFiniteResults:
     def test_silent_estimate_is_valid_json(self, clip_path, tmp_path, capsys):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwetools.errors import InvalidArgumentError
 from bwetools.featmaps import FeatureMapStack
@@ -8,6 +10,7 @@ from bwetools.netshape import (
     ConvSpec,
     GeneratorGraph,
     LatticeScalars,
+    LeakyReluSpec,
     NetDescriptor,
     build_mrld_cnn,
     build_msdfa_cnn,
@@ -22,6 +25,7 @@ from bwetools.netshape import (
     param_count,
     save_weights,
 )
+from bwetools.netshape import _depthwise
 from bwetools.spectral import MagPhase, StftConfig
 
 
@@ -149,6 +153,148 @@ class TestForwardCnn:
             for entry in weights
         ])
         np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-7)
+
+
+# The per-channel loop convolution the single windowed einsum/tensordot
+# replaced, kept as the reference it is checked against.
+def _ref_pad(x, dims, k):
+    pad = k // 2
+    return np.pad(x, ((0, 0),) + ((pad, pad),) * dims)
+
+
+def _ref_conv1d(x, kernel, stride):
+    k = kernel.size
+    n_out = (x.size - k) // stride + 1
+    if n_out < 1:
+        raise InvalidArgumentError("feature shorter than the receptive field")
+    idx = stride * np.arange(n_out)[:, None] + np.arange(k)[None, :]
+    return x[idx] @ kernel
+
+
+def _ref_conv2d(x, kernel, stride):
+    k = kernel.shape[0]
+    h_out = (x.shape[0] - k) // stride + 1
+    w_out = (x.shape[1] - k) // stride + 1
+    if h_out < 1 or w_out < 1:
+        raise InvalidArgumentError("feature smaller than the receptive field")
+    windows = np.lib.stride_tricks.sliding_window_view(x, (k, k))[::stride, ::stride]
+    return np.einsum("hwij,ij->hw", windows, kernel)
+
+
+def reference_conv(x, layer, entry):
+    single = _ref_conv1d if layer.dims == 1 else _ref_conv2d
+    xp = _ref_pad(x, layer.dims, layer.kernel)
+    bias_shape = (-1,) + (1,) * layer.dims
+    if layer.kind == "standard":
+        out = np.stack(
+            [
+                sum(single(xp[c], entry["w"][o, c], layer.stride) for c in range(layer.c_in))
+                for o in range(layer.c_out)
+            ]
+        )
+        if layer.bias:
+            out += entry["b"].reshape(bias_shape)
+        return out
+    dw = np.stack([single(xp[c], entry["dw"][c], layer.stride) for c in range(layer.c_in)])
+    if layer.bias:
+        dw += entry["dwb"].reshape(bias_shape)
+    out = np.tensordot(entry["pw"], dw, axes=(1, 0))
+    if layer.bias:
+        out += entry["pwb"].reshape(bias_shape)
+    return out
+
+
+class TestConvOracle:
+    @settings(deadline=None, max_examples=150)
+    @given(
+        kind=st.sampled_from(["standard", "depthwise_separable"]),
+        dims=st.sampled_from([1, 2]),
+        kernel=st.integers(1, 5),
+        stride=st.integers(1, 3),
+        c_in=st.integers(1, 6),
+        c_out=st.integers(1, 6),
+        height=st.integers(1, 9),
+        width=st.integers(1, 24),
+        bias=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_channel_loops(
+        self, kind, dims, kernel, stride, c_in, c_out, height, width, bias, seed
+    ):
+        spec = ConvSpec(kind, dims, kernel, c_in, c_out, stride=stride, bias=bias)
+        net = NetDescriptor("one", (spec,))
+        weights = init_weights(net, seed)
+        rng = np.random.default_rng(seed)
+        data = rng.standard_normal((c_in, 1 if dims == 1 else height, width))
+        x = data[:, 0, :] if dims == 1 else data
+        expected = reference_conv(x, spec, weights[0]).ravel()
+        got = forward_cnn(net, FeatureMapStack(data, {}), weights=weights)
+        np.testing.assert_allclose(got, expected, rtol=1e-12, atol=1e-15)
+
+    @pytest.mark.parametrize("kernel", [3, 7])
+    def test_depthwise_equals_generator_formula(self, kernel):
+        # the generator's ConvNeXt time convolution, as it was written inline
+        x = np.random.default_rng(kernel).standard_normal((40, 16))
+        dw = np.random.default_rng(kernel + 1).uniform(-0.05, 0.05, (16, kernel))
+        pad = kernel // 2
+        xp = np.pad(x, ((pad, pad), (0, 0)))
+        windows = np.lib.stride_tricks.sliding_window_view(xp, kernel, axis=0)
+        expected = np.einsum("thk,hk->th", windows, dw)
+        got = _depthwise(x.T, dw).T
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("net", [build_mrld_cnn(), build_msdfa_cnn()])
+    def test_empty_stack_rejected(self, net):
+        shape = (5, 1, 0) if net.name == "mrld" else (5, 0, 0)
+        with pytest.raises(InvalidArgumentError):
+            forward_cnn(net, FeatureMapStack(np.zeros(shape), {}))
+
+
+class TestSeededDraw:
+    @staticmethod
+    def expected_shapes(layer):
+        if isinstance(layer, BatchNormSpec):
+            return [("gamma", (layer.channels,)), ("beta", (layer.channels,))]
+        k = (layer.kernel,) * layer.dims
+        if layer.kind == "standard":
+            shapes = [("w", (layer.c_out, layer.c_in, *k))]
+            return shapes + [("b", (layer.c_out,))] * layer.bias
+        shapes = [("dw", (layer.c_in, *k)), ("pw", (layer.c_out, layer.c_in))]
+        return shapes + [("dwb", (layer.c_in,)), ("pwb", (layer.c_out,))] * layer.bias
+
+    @pytest.mark.parametrize(
+        "net",
+        [
+            build_mrld_cnn(),
+            build_msdfa_cnn(widths=(4, 3, 2, 3, 1)),
+            NetDescriptor(
+                "standard",
+                (
+                    ConvSpec("standard", 2, 3, 2, 4),
+                    BatchNormSpec(4),
+                    ConvSpec("standard", 1, 4, 4, 3, bias=False),
+                ),
+            ),
+        ],
+    )
+    def test_init_weights_draw_order(self, net):
+        rng = np.random.default_rng(11)
+        weights = init_weights(net, seed=11)
+        assert len(weights) == len(net.layers)
+        for layer, entry in zip(net.layers, weights):
+            shapes = [] if isinstance(layer, LeakyReluSpec) else self.expected_shapes(layer)
+            assert list(entry) == [key for key, _ in shapes]
+            for key, shape in shapes:
+                assert np.array_equal(entry[key], rng.uniform(-0.05, 0.05, shape))
+
+    @pytest.mark.parametrize(
+        "g", [GeneratorGraph(), GeneratorGraph(freq_bins=33, frames=16, hidden=32, conv_kernel=5)]
+    )
+    def test_generator_param_count_closed_form(self, g):
+        f, h, e = g.freq_bins, g.hidden, g.mlp_ratio * g.hidden
+        block = 4 * h * h + h * g.conv_kernel + 2 * (h * e + e + e * h + h)
+        assert generator_param_count(g) == 2 * (f * h + h) + 4 * block + 3 * (h * f + f)
 
 
 class TestGenerator:
