@@ -330,10 +330,13 @@ class GeneratorGraph:
     n_blocks = 4  # 2 stages x 2 streams, fixed by construction
 
     def __post_init__(self):
+        if min(self.freq_bins, self.frames, self.hidden, self.heads, self.mlp_ratio) < 1:
+            raise InvalidArgumentError("dims must be positive")
         if self.hidden % self.heads != 0:
             raise InvalidArgumentError("heads must divide hidden width")
-        if self.freq_bins < 1 or self.frames < 1 or self.mlp_ratio < 1:
-            raise InvalidArgumentError("dims must be positive")
+        if self.conv_kernel < 1 or self.conv_kernel % 2 == 0:
+            # a same-length time convolution needs a center tap
+            raise InvalidArgumentError(f"conv_kernel must be odd and >= 1, got {self.conv_kernel}")
 
 
 def _layer_norm(x: np.ndarray) -> np.ndarray:

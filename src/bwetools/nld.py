@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.spatial.distance import cdist
 
 from .errors import InvalidArgumentError
 
@@ -126,6 +125,8 @@ def lyapunov_exponents(segments, p: EmbeddingParams | None = None) -> tuple[np.n
     extreme amplitudes do not overflow; the exact scale is undone before eps
     is added, so in-range results are unchanged.
     """
+    from scipy.spatial.distance import cdist
+
     p = p or EmbeddingParams()
     segments = np.asarray(segments, dtype=np.float64)
     if segments.ndim != 2:

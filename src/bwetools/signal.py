@@ -7,9 +7,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.io import wavfile
-from scipy.signal import upfirdn
-from scipy.signal.windows import kaiser
 
 from .errors import InvalidArgumentError, UnreadableFileError, UnsupportedEncodingError
 
@@ -74,6 +71,8 @@ def load_wav(path) -> Waveform:
 
     Multichannel inputs are averaged to mono; PCM16 is scaled by 1/32768.
     """
+    from scipy.io import wavfile
+
     try:
         with open(path, "rb") as fh:
             rate, data = wavfile.read(fh)
@@ -99,6 +98,8 @@ def load_wav(path) -> Waveform:
 
 def save_wav(path, wf: Waveform, encoding: str = "float32") -> None:
     """Write a Waveform as RIFF PCM16 or IEEE float32."""
+    from scipy.io import wavfile
+
     if encoding == "float32":
         wavfile.write(path, wf.rate, wf.samples.astype(np.float32))
     elif encoding == "pcm16":
@@ -113,6 +114,8 @@ def _design_lowpass(cutoff: float, half_width: int, beta: float) -> np.ndarray:
 
     cutoff is in units of the (post-upsampling) Nyquist frequency.
     """
+    from scipy.signal.windows import kaiser
+
     n_half = int(math.ceil(half_width / cutoff))
     n = np.arange(-n_half, n_half + 1, dtype=np.float64)
     taps = cutoff * np.sinc(cutoff * n) * kaiser(2 * n_half + 1, beta)
@@ -121,6 +124,8 @@ def _design_lowpass(cutoff: float, half_width: int, beta: float) -> np.ndarray:
 
 def resample(wf: Waveform, target_rate: int, cfg: ResampleConfig | None = None) -> Waveform:
     """Polyphase windowed-sinc resampling to target_rate."""
+    from scipy.signal import upfirdn
+
     if target_rate <= 0:
         raise InvalidArgumentError("target_rate must be positive")
     cfg = cfg or ResampleConfig()

@@ -364,6 +364,13 @@ class TestGenerator:
         with pytest.raises(InvalidArgumentError):
             GeneratorGraph(hidden=30, heads=8)
 
+    @pytest.mark.parametrize(
+        "kw", [{"conv_kernel": 4}, {"conv_kernel": 0}, {"conv_kernel": -1}, {"heads": 0}, {"hidden": 0}]
+    )
+    def test_bad_graph_rejected(self, kw):
+        with pytest.raises(InvalidArgumentError):
+            GeneratorGraph(**kw)
+
     def test_shape_mismatch(self):
         g = self.graph()
         bad = MagPhase(np.zeros((10, 10)), np.zeros((10, 10)), StftConfig())

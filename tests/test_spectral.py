@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import check_COLA
+from scipy.signal.windows import hann
 
 from bwetools.errors import InvalidArgumentError
 from bwetools.signal import Waveform
@@ -18,6 +20,7 @@ from bwetools.spectral import (
     write_csv,
     write_f32,
 )
+from bwetools.spectral import _hann, _is_cola
 
 
 class TestStftConfig:
@@ -31,6 +34,21 @@ class TestStftConfig:
     def test_ordering_enforced(self):
         with pytest.raises(InvalidArgumentError):
             StftConfig(n_fft=512, win_length=1024, hop=256)
+
+
+class TestWindowOracle:
+    """The numpy window and COLA test against the scipy functions they replace."""
+
+    def test_hann_bit_identical(self):
+        for m in range(1, 4097):
+            assert np.array_equal(_hann(m), hann(m, sym=False)), m
+
+    def test_cola_verdict_matches(self):
+        for win_length in range(1, 301):
+            w = _hann(win_length)
+            for hop in range(1, win_length + 1):
+                expected = check_COLA(w, win_length, win_length - hop)
+                assert _is_cola(w, hop) == expected, (win_length, hop)
 
 
 class TestStft:
