@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .nld import EmbeddingParams, dfa_fluctuation, lyapunov_exponents
+from .nld import EmbeddingParams, dfa_fluctuation, lyapunov_exponents, lyapunov_windows
 from .signal import Waveform, frame
 from .spectral import MagPhase, StftConfig, stft, to_mag_phase
 
@@ -81,20 +81,20 @@ def mrld_features(
     of the finest channel (padding is applied after normalization so it does
     not perturb channel statistics). Channels whose window does not fit the
     signal, or whose exponents have zero variance, are left all-zero and
-    flagged degenerate.
+    flagged degenerate. Window sizes must be distinct integers >= 1.
+
+    All windows come from one `nld.lyapunov_windows` call, which shares the
+    neighbor search across dyadic window sizes. `EmbeddingParams.eps` is an
+    absolute floor on distances: a clip whose sample differences are far
+    below it (say, speech scaled by 1e-200) gives rates of exactly 0, so
+    every channel is all-zero and flagged degenerate.
     """
-    windows = sorted(int(w) for w in windows)
-    if not windows:
-        raise InvalidArgumentError("need at least one window size")
-    n = len(wf)
-    width = n // min(windows)
+    levels = lyapunov_windows(wf.samples, windows, p)
+    windows = list(levels)
+    width = len(wf) // windows[0]
     data = np.zeros((len(windows), 1, width))
     channel_meta = []
-    for c, w in enumerate(windows):
-        try:
-            values, _ = lyapunov_exponents(frame(wf, w, w), p)
-        except InvalidArgumentError:
-            values = np.empty(0)
+    for c, (w, (values, _)) in enumerate(levels.items()):
         degenerate = values.size == 0
         if not degenerate:
             std = values.std()

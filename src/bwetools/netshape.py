@@ -4,7 +4,6 @@ deterministic inference-only forward passes with seeded random weights."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -26,8 +25,6 @@ __all__ = [
     "build_msdfa_cnn",
     "forward_cnn",
     "init_weights",
-    "save_weights",
-    "load_weights",
     "generator_forward",
     "generator_param_count",
     "describe_net",
@@ -180,38 +177,6 @@ def init_weights(net: NetDescriptor, seed: int = 0, zero: bool = False) -> list[
         else:
             entry = {}
         weights.append(entry)
-    return weights
-
-
-def save_weights(path, weights: list[dict]) -> None:
-    """Little-endian float32 blob plus a JSON sidecar (<path>.json) listing
-    layer order and array shapes."""
-    manifest = []
-    with open(path, "wb") as fh:
-        for entry in weights:
-            spec = {}
-            for key in sorted(entry):
-                arr = np.ascontiguousarray(entry[key], dtype="<f4")
-                fh.write(arr.tobytes())
-                spec[key] = list(arr.shape)
-            manifest.append(spec)
-    with open(str(path) + ".json", "w") as fh:
-        json.dump({"layers": manifest}, fh, indent=1)
-
-
-def load_weights(path) -> list[dict]:
-    with open(str(path) + ".json") as fh:
-        manifest = json.load(fh)["layers"]
-    weights = []
-    with open(path, "rb") as fh:
-        for spec in manifest:
-            entry = {}
-            for key in sorted(spec):
-                shape = tuple(spec[key])
-                count = int(np.prod(shape)) if shape else 1
-                buf = fh.read(4 * count)
-                entry[key] = np.frombuffer(buf, dtype="<f4").reshape(shape).astype(np.float64)
-            weights.append(entry)
     return weights
 
 

@@ -15,14 +15,13 @@ from .errors import InvalidArgumentError
 __all__ = [
     "EmbeddingParams",
     "LyapunovEstimate",
-    "DfaProfile",
     "PoincareDescriptors",
     "RecurrencePlot",
     "delay_embed",
     "lyapunov_exponents",
+    "lyapunov_windows",
     "local_lyapunov",
     "dfa_fluctuation",
-    "dfa_profile",
     "dfa_exponent",
     "recurrence_plot",
     "poincare_sd",
@@ -34,7 +33,9 @@ class EmbeddingParams:
     """Delay-embedding and divergence-tracking parameters.
 
     delta=None picks max(1, segment_length // 8) per segment; theiler=None
-    defaults to d * tau.
+    defaults to d * tau. eps is an absolute floor added to every neighbor
+    distance: a segment whose distances are far below it (a clip scaled by
+    1e-200, say) gets rates of exactly log(eps/eps) = 0.
     """
 
     d: int = 3
@@ -69,22 +70,6 @@ class LyapunovEstimate:
 
 
 @dataclass(frozen=True)
-class DfaProfile:
-    scales: np.ndarray
-    fluctuations: np.ndarray
-
-    def __post_init__(self):
-        scales = np.asarray(self.scales, dtype=np.int64)
-        fl = np.asarray(self.fluctuations, dtype=np.float64)
-        object.__setattr__(self, "scales", scales)
-        object.__setattr__(self, "fluctuations", fl)
-        if scales.size != fl.size:
-            raise InvalidArgumentError("scales and fluctuations must align")
-        if np.any(fl < 0):
-            raise InvalidArgumentError("fluctuations must be nonnegative")
-
-
-@dataclass(frozen=True)
 class PoincareDescriptors:
     sd1: float
     sd2: float
@@ -112,6 +97,163 @@ def delay_embed(x, d: int, tau: int) -> np.ndarray:
     return x[idx]
 
 
+# A nonzero difference of two samples that are each 0 or at least 2**-459
+# in magnitude is at least 2**-511, one unit in the last place of 2**-459,
+# so its square is at least 2**-1022, the smallest normal number, and
+# distances scale exactly by powers of two. Below it they may not.
+_SHARED_SCALE_FLOOR = 2.0**-459
+
+
+def _horizon(length: int, p: EmbeddingParams) -> tuple[int, int, int]:
+    """(n, delta, theiler) for segments of `length` samples, n being the number
+    of embedded points whose future at +delta exists."""
+    delta, theiler = p.resolved(length)
+    span = (p.d - 1) * p.tau
+    if length < span + delta + 1:
+        raise InvalidArgumentError(
+            f"segment of {length} samples too short for embedding span "
+            f"{span} plus divergence horizon {delta}"
+        )
+    return length - span - delta, delta, theiler
+
+
+def _embed(segments: np.ndarray, p: EmbeddingParams) -> np.ndarray:
+    """Delay embedding of each row: (count, length - span, d)."""
+    span = (p.d - 1) * p.tau
+    return np.ascontiguousarray(sliding_window_view(segments, span + 1, axis=1)[:, :, :: p.tau])
+
+
+def _band(rows: int, cols: int, lo: int, hi: int) -> np.ndarray:
+    """Flat indices of the entries (i, k) of a C-ordered rows x cols block
+    with lo <= k - i <= hi."""
+    i = np.arange(rows)
+    diagonals = [
+        i[max(0, -k) : min(rows, cols - k)] * (cols + 1) + k
+        for k in range(max(lo, 1 - rows), min(hi, cols - 1) + 1)
+    ]
+    return np.concatenate(diagonals) if diagonals else np.empty(0, dtype=np.intp)
+
+
+def _nearest(pts: np.ndarray, n: int, theiler: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact nearest neighbor of each of the first n points of every segment
+    outside its Theiler window |j - j'| <= theiler: (distance, index), the
+    lowest index on ties. pts is (count, >= n, d)."""
+    from scipy.spatial.distance import cdist
+
+    count = pts.shape[0]
+    buf = np.empty((n, n))
+    flat = buf.ravel()
+    band = _band(n, n, -theiler, theiler)
+    j = np.arange(n)
+    dist = np.empty((count, n))
+    nn = np.empty((count, n), dtype=np.intp)
+    for s in range(count):
+        cdist(pts[s, :n], pts[s, :n], out=buf)
+        flat[band] = np.inf
+        buf.argmin(axis=1, out=nn[s])
+        dist[s] = buf[j, nn[s]]
+    return dist, nn
+
+
+def _take_nearer(best_d, best_i, d, i) -> None:
+    """Merge candidates (d, i) into (best_d, best_i) in place. The candidates'
+    indices all come after the best's, so only a strictly smaller distance
+    wins: ties keep the lower index."""
+    nearer = d < best_d
+    np.copyto(best_d, d, where=nearer)
+    np.copyto(best_i, i, where=nearer)
+
+
+def _nearest_from_halves(pts, n, theiler, h, half_dist, half_nn):
+    """`_nearest` at window w = 2h, built from the nearest neighbors at h.
+
+    Segment s at w is segments 2s (A) and 2s+1 (B) at h: its points [0, nh)
+    are A's searched points, [h, h + nh) are B's, and the gap [nh, h) is
+    searched by neither. Every pair outside both halves lies in one block of
+    fresh distances, rows [0, g) by columns [nh, n) with g = min(h, n): its
+    row minima are the nearest neighbors of A and the gap among [nh, n), its
+    column minima those of the gap and B among [0, g). B's own neighbors
+    count only where they lie before n; the other B rows are searched again
+    over [h, n). Candidates merge in index order, so ties keep the lowest
+    index. pts is the clip embedding cut at w, and every distance, half_dist
+    included, must be on that one scale; the Theiler window does not depend
+    on w.
+    """
+    from scipy.spatial.distance import cdist
+
+    count = pts.shape[0]
+    nh = half_dist.shape[1]
+    g = min(h, n)
+    block = np.empty((g, n - nh))
+    flat = block.ravel()
+    band = _band(g, n - nh, -nh - theiler, theiler - nh)
+    row_d = np.empty((count, g))
+    row_i = np.empty((count, g), dtype=np.intp)
+    col_d = np.empty((count, n - nh))
+    col_i = np.empty((count, n - nh), dtype=np.intp)
+    rows, cols = np.arange(g), np.arange(n - nh)
+    for s in range(count):
+        cdist(pts[s, :g], pts[s, nh:n], out=block)
+        flat[band] = np.inf
+        block.argmin(axis=1, out=row_i[s])
+        row_d[s] = block[rows, row_i[s]]
+        block.argmin(axis=0, out=col_i[s])
+        col_d[s] = block[col_i[s], cols]
+    dist = np.empty((count, n))
+    nn = np.empty((count, n), dtype=np.intp)
+    dist[:, :nh] = half_dist[0 : 2 * count : 2]
+    nn[:, :nh] = half_nn[0 : 2 * count : 2]
+    dist[:, nh:], nn[:, nh:] = col_d, col_i
+    _take_nearer(dist[:, :g], nn[:, :g], row_d, row_i + nh)
+    c = n - g  # B's points that remain at w
+    if c:
+        own_d = half_dist[1 : 2 * count : 2, :c].copy()
+        own_i = half_nn[1 : 2 * count : 2, :c] + h
+        seg, row = np.nonzero(own_i >= n)
+        if seg.size:
+            mask = np.abs(np.subtract.outer(cols[:c], cols[:c])) <= theiler
+            cuts = np.flatnonzero(np.diff(seg)) + 1
+            found_d, found_i = [], []
+            for s, r in zip(seg[np.r_[0, cuts]], np.split(row, cuts)):
+                again = cdist(pts[s, h + r], pts[s, h:n])
+                again[mask[r]] = np.inf
+                found_i.append(again.argmin(axis=1))
+                found_d.append(again.min(axis=1))
+            own_d[seg, row] = np.concatenate(found_d)
+            own_i[seg, row] = np.concatenate(found_i) + h
+        _take_nearer(dist[:, h:], nn[:, h:], own_d, own_i)
+    return dist, nn
+
+
+def _exponents(segments: np.ndarray, p: EmbeddingParams, nn=None) -> tuple[np.ndarray, np.ndarray]:
+    """The one-window kernel. nn, when given, holds the nearest neighbors
+    `lyapunov_windows` found on the clip's scale; otherwise each segment is
+    searched scaled by the power of two from its peak."""
+    count, length = segments.shape
+    n, delta, theiler = _horizon(length, p)
+    if n < 2 or count == 0:
+        return np.zeros(count), np.ones(count, dtype=bool)
+    exponent = np.frexp(np.abs(segments).max(axis=1))[1][:, None]
+    y = _embed(np.ldexp(segments, -exponent), p)
+    if nn is None:
+        nn = _nearest(y, n, theiler)[1]
+    flat_nn = nn + y.shape[1] * np.arange(count)[:, None]
+    points = y.reshape(-1, p.d)
+    d0 = np.ldexp(np.linalg.norm(y[:, :n] - points.take(flat_nn, axis=0), axis=2), exponent)
+    d1 = np.ldexp(np.linalg.norm(y[:, delta:] - points.take(flat_nn + delta, axis=0), axis=2), exponent)
+    rates = np.log((d1 + p.eps) / (d0 + p.eps)) / delta
+    j = np.arange(n)
+    # rows with some j' outside the Theiler window and a finite distance to it
+    valid = ((j > theiler) | (j < n - 1 - theiler)) & np.isfinite(d0)
+    values = np.zeros(count)
+    full = valid.all(axis=1)
+    values[full] = rates[full].mean(axis=1)
+    # partly valid rows are compacted first, so their sums keep the 1-D order
+    for s in np.flatnonzero(~full & valid.any(axis=1)):
+        values[s] = rates[s, valid[s]].mean()
+    return values, ~valid.any(axis=1)
+
+
 def lyapunov_exponents(segments, p: EmbeddingParams | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Local Lyapunov exponents of equal-length segments, one per row.
 
@@ -125,48 +267,70 @@ def lyapunov_exponents(segments, p: EmbeddingParams | None = None) -> tuple[np.n
     extreme amplitudes do not overflow; the exact scale is undone before eps
     is added, so in-range results are unchanged.
     """
-    from scipy.spatial.distance import cdist
-
     p = p or EmbeddingParams()
     segments = np.asarray(segments, dtype=np.float64)
     if segments.ndim != 2:
         raise InvalidArgumentError("segments must be a (count, length) array")
-    count, length = segments.shape
-    delta, theiler = p.resolved(length)
-    span = (p.d - 1) * p.tau
-    if length < span + delta + 1:
-        raise InvalidArgumentError(
-            f"segment of {length} samples too short for embedding span "
-            f"{span} plus divergence horizon {delta}"
-        )
-    n = length - span - delta  # points whose future at +delta exists
-    if n < 2 or count == 0:
-        return np.zeros(count), np.ones(count, dtype=bool)
-    exponent = np.frexp(np.abs(segments).max(axis=1))[1][:, None]
-    scaled = np.ldexp(segments, -exponent)
-    y = np.ascontiguousarray(sliding_window_view(scaled, span + 1, axis=1)[:, :, :: p.tau])
-    buf = np.empty((n, n))
-    flat = buf.ravel()
-    nn = np.empty((count, n), dtype=np.intp)
-    for s in range(count):
-        cdist(y[s, :n], y[s, :n], out=buf)
-        for k in range(min(theiler, n - 1) + 1):  # Theiler window: diagonals +k and -k
-            flat[k : (n - k) * n : n + 1] = flat[k * n :: n + 1] = np.inf
-        buf.argmin(axis=1, out=nn[s])
-    rows = np.arange(count)[:, None]
-    d0 = np.ldexp(np.linalg.norm(y[:, :n] - y[rows, nn], axis=2), exponent)
-    d1 = np.ldexp(np.linalg.norm(y[:, delta:] - y[rows, nn + delta], axis=2), exponent)
-    rates = np.log((d1 + p.eps) / (d0 + p.eps)) / delta
-    j = np.arange(n)
-    # rows with some j' outside the Theiler window and a finite distance to it
-    valid = ((j > theiler) | (j < n - 1 - theiler)) & np.isfinite(d0)
-    values = np.zeros(count)
-    full = valid.all(axis=1)
-    values[full] = rates[full].mean(axis=1)
-    # partly valid rows are compacted first, so their sums keep the 1-D order
-    for s in np.flatnonzero(~full & valid.any(axis=1)):
-        values[s] = rates[s, valid[s]].mean()
-    return values, ~valid.any(axis=1)
+    return _exponents(segments, p)
+
+
+def _window_sizes(windows) -> list[int]:
+    windows = list(windows)
+    if not windows:
+        raise InvalidArgumentError("need at least one window size")
+    try:
+        sizes = [int(w) for w in windows]
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidArgumentError(f"window sizes must be integers, got {windows}") from None
+    if any(s != w for s, w in zip(sizes, windows)) or min(sizes) < 1:
+        raise InvalidArgumentError(f"window sizes must be integers >= 1, got {windows}")
+    if len(set(sizes)) != len(sizes):
+        raise InvalidArgumentError(f"window sizes must be distinct, got {windows}")
+    return sorted(sizes)
+
+
+def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
+    """`lyapunov_exponents` of x cut into non-overlapping windows, per size.
+
+    Returns {window: (values, degenerate)} in ascending window order, each
+    equal to `lyapunov_exponents` of that window's segments; a window too
+    short for the embedding gets empty arrays. Windows must be distinct
+    integers >= 1.
+
+    The neighbor search runs on the whole clip scaled by the power of two
+    from its peak, so segment s at w is segments 2s and 2s+1 at w/2 and,
+    when w/2 is in the set, the search at w reuses theirs. This is exact
+    while every nonzero sample of the scaled clip is at least 2**-459 in
+    magnitude (every squared difference is then a normal number); a clip
+    below that bound has every window searched on each segment's own scale.
+    """
+    p = p or EmbeddingParams()
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise InvalidArgumentError("x must be one-dimensional")
+    z = np.ldexp(x, -np.frexp(np.abs(x).max(initial=0.0))[1])
+    shared = bool(np.all((z == 0) | (np.abs(z) >= _SHARED_SCALE_FLOOR)))
+    out = {}
+    searched = None  # (window, distances, neighbors) on the clip scale
+    for w in _window_sizes(windows):
+        count = x.size // w
+        segments = x[: count * w].reshape(count, w)
+        try:
+            n, _, theiler = _horizon(w, p)
+        except InvalidArgumentError:
+            out[w] = (np.empty(0), np.empty(0, dtype=bool))
+            continue
+        nn = None
+        if shared and n >= 2 and count:
+            pts = _embed(z[: count * w].reshape(count, w), p)
+            if searched is not None and 2 * searched[0] == w:
+                searched = (w, *_nearest_from_halves(pts, n, theiler, *searched))
+            else:
+                searched = (w, *_nearest(pts, n, theiler))
+            del pts  # freed before the rates, where each window peaks in memory
+            nn = searched[2]
+        out[w] = _exponents(segments, p, nn)
+    return out
 
 
 def local_lyapunov(segment, p: EmbeddingParams | None = None) -> LyapunovEstimate:
@@ -201,20 +365,16 @@ def dfa_fluctuation(x, n: int) -> float:
     return float(np.sqrt(np.mean(resid**2)))
 
 
-def dfa_profile(x, scales) -> DfaProfile:
-    """Convenience wrapper computing F(n) over a scale set (ascending)."""
-    scales = sorted(int(s) for s in scales)
-    return DfaProfile(scales, [dfa_fluctuation(x, n) for n in scales])
-
-
 def dfa_exponent(x, scales) -> float:
-    """Least-squares slope of log F(n) vs log n; zero fluctuations excluded."""
-    profile = dfa_profile(x, scales)
-    keep = profile.fluctuations > 0
+    """Least-squares slope of log F(n) vs log n over the scales in ascending
+    order; zero fluctuations excluded."""
+    scales = np.array(sorted(int(n) for n in scales), dtype=np.int64)
+    fluctuations = np.array([dfa_fluctuation(x, n) for n in scales])
+    keep = fluctuations > 0
     if np.count_nonzero(keep) < 2:
         raise InvalidArgumentError("fewer than 2 usable scales for the DFA fit")
-    logn = np.log(profile.scales[keep].astype(np.float64))
-    logf = np.log(profile.fluctuations[keep])
+    logn = np.log(scales[keep].astype(np.float64))
+    logf = np.log(fluctuations[keep])
     slope, _ = np.polyfit(logn, logf, 1)
     return float(slope)
 

@@ -190,6 +190,13 @@ class TestConfig:
         doc = json.loads(capsys.readouterr().out)
         assert doc["shape"] == [5, 8, 8]
 
+    @pytest.mark.parametrize("windows", [[0, 64], [-64, 128], [64, 64], [64.7, 128]])
+    def test_bad_mrld_windows(self, clip_path, tmp_path, windows):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"windows": windows}))
+        argv = ["--config", str(cfg), "features", str(clip_path), "mrld", str(tmp_path / "m")]
+        assert main(argv) == EXIT_USAGE
+
     def test_bad_config(self, clip_path, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json")

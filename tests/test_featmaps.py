@@ -80,6 +80,19 @@ class TestMrld:
         # only eps (1e-8, negligible next to 1e200 distances) tells them apart
         np.testing.assert_allclose(big.data, base.data, atol=1e-3)
 
+    def test_tiny_amplitude_is_degenerate(self):
+        # EmbeddingParams.eps = 1e-8 is an absolute floor: next to distances
+        # near 1e-200 every rate is log(eps/eps) = 0, so no channel varies
+        wf = synthetic_speech(duration=0.5, seed=0)
+        tiny = mrld_features(Waveform(wf.samples * 1e-200, wf.rate))
+        assert all(c["degenerate"] for c in tiny.meta["channels"])
+        assert np.all(tiny.data == 0)
+
+    @pytest.mark.parametrize("windows", [(), (0, 64), (-64, 128), (64, 64), (64.7, 128), ("64",)])
+    def test_bad_windows_rejected(self, windows):
+        with pytest.raises(InvalidArgumentError):
+            mrld_features(noise_wave(2048), windows)
+
 
 class TestMsdfa:
     def test_tiling_definition(self):

@@ -21,9 +21,7 @@ from bwetools.netshape import (
     generator_forward,
     generator_param_count,
     init_weights,
-    load_weights,
     param_count,
-    save_weights,
 )
 from bwetools.netshape import _depthwise
 from bwetools.spectral import MagPhase, StftConfig
@@ -140,19 +138,6 @@ class TestForwardCnn:
         # single input column
         out = forward_cnn(build_mrld_cnn(), self.stack(width=1))
         assert out.size == 256
-
-    def test_weight_roundtrip(self, tmp_path):
-        net = build_mrld_cnn()
-        weights = init_weights(net, seed=3)
-        path = tmp_path / "weights.bin"
-        save_weights(path, weights)
-        loaded = load_weights(path)
-        a = forward_cnn(net, self.stack(2), weights=loaded)
-        b = forward_cnn(net, self.stack(2), weights=[
-            {k: v.astype(np.float32).astype(np.float64) for k, v in entry.items()}
-            for entry in weights
-        ])
-        np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-7)
 
 
 # The per-channel loop convolution the single windowed einsum/tensordot

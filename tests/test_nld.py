@@ -12,13 +12,13 @@ from bwetools.nld import (
     delay_embed,
     dfa_exponent,
     dfa_fluctuation,
-    dfa_profile,
     local_lyapunov,
     lyapunov_exponents,
+    lyapunov_windows,
     poincare_sd,
     recurrence_plot,
 )
-from bwetools.signal import frame, load_wav, save_wav
+from bwetools.signal import Waveform, frame, load_wav, save_wav
 from conftest import logistic_orbit
 
 SCALES = (100, 200, 300, 500, 600)
@@ -88,10 +88,13 @@ class TestLocalLyapunov:
 
 def reference_lyapunov(segment, p):
     """Dense one-segment estimator the batched kernel must match bit for bit:
-    full distance matrix, O(m^2) Theiler mask, argmin (lowest index on ties)."""
+    the segment scaled by the power of two from its peak, full distance
+    matrix, O(m^2) Theiler mask, argmin (lowest index on ties), and the
+    scale undone on the distances before eps is added."""
     segment = np.asarray(segment, dtype=np.float64)
     delta, theiler = p.resolved(segment.size)
-    y = delay_embed(segment, p.d, p.tau)
+    exponent = np.frexp(np.abs(segment).max())[1]
+    y = delay_embed(np.ldexp(segment, -exponent), p.d, p.tau)
     n_valid = y.shape[0] - delta
     if n_valid < 2:
         return 0.0, True
@@ -104,8 +107,8 @@ def reference_lyapunov(segment, p):
         return 0.0, True
     j = j[valid]
     jn = nn[valid]
-    d0 = np.linalg.norm(y[j] - y[jn], axis=1)
-    d1 = np.linalg.norm(y[j + delta] - y[jn + delta], axis=1)
+    d0 = np.ldexp(np.linalg.norm(y[j] - y[jn], axis=1), exponent)
+    d1 = np.ldexp(np.linalg.norm(y[j + delta] - y[jn + delta], axis=1), exponent)
     return float(np.mean(np.log((d1 + p.eps) / (d0 + p.eps)) / delta)), False
 
 
@@ -148,6 +151,63 @@ class TestLyapunovKernel:
             assert values[s] == value and degenerate[s] == flag
             est = local_lyapunov(seg, p)
             assert est.value == value and est.degenerate == flag
+
+    @given(
+        kind=st.sampled_from(["random", "sine", "constant", "pcm16"]),
+        seed=st.integers(0, 2**16),
+        windows=st.one_of(
+            st.builds(
+                lambda base, levels: [base << k for k in range(levels)],
+                st.sampled_from([3, 4, 6, 8, 12, 16]),
+                st.integers(2, 5),
+            ),
+            st.lists(
+                st.sampled_from([5, 8, 12, 16, 24, 32, 48, 64, 100, 128]),
+                min_size=1,
+                max_size=5,
+                unique=True,
+            ),
+        ),
+        extra=st.integers(0, 300),
+        d=st.sampled_from([1, 2, 3, 4, 13]),  # 13 at (16, 32): no B-half points at 32
+        tau=st.integers(1, 3),
+        delta=st.one_of(st.none(), st.integers(1, 8)),
+        theiler=st.one_of(st.none(), st.integers(0, 40)),
+        amplitude=st.sampled_from([1.0, 1e200, 1e-200]),
+        below_floor=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_windows_match_dense_reference(
+        self, kind, seed, windows, extra, d, tau, delta, theiler, amplitude, below_floor
+    ):
+        """Every window of one `lyapunov_windows` call, dyadic chains composed
+        from their halves included, equals the dense per-segment reference."""
+        p = EmbeddingParams(d=d, tau=tau, delta=delta, theiler=theiler)
+        rng = np.random.default_rng(seed)
+        size = max(windows) + extra
+        if kind == "sine":
+            x = np.sin(2 * np.pi * np.arange(size) / rng.uniform(3.0, 40.0) + rng.uniform(0, 6))
+        elif kind == "constant":
+            x = np.full(size, rng.uniform(-1, 1))
+        else:
+            x = rng.uniform(-1, 1, size)
+            if kind == "pcm16":
+                x = pcm16(0.01 * x)
+        x = amplitude * x
+        if below_floor:
+            # one sample below 2**-459 of the peak: the clip-wide search is not exact
+            x[rng.integers(size)] = np.abs(x).max() * 2.0**-470
+        wf = Waveform(x, 8000)
+        levels = lyapunov_windows(x, windows, p)
+        assert list(levels) == sorted(windows)
+        span = (d - 1) * tau
+        for w, (values, degenerate) in levels.items():
+            if w < span + p.resolved(w)[0] + 1:
+                assert values.size == degenerate.size == 0
+                continue
+            expected = [reference_lyapunov(seg, p) for seg in frame(wf, w, w)]
+            assert values.tolist() == [v for v, _ in expected]
+            assert degenerate.tolist() == [flag for _, flag in expected]
 
     def test_degenerate_cases(self):
         p = EmbeddingParams(d=2, tau=1, delta=1, theiler=0)
@@ -229,10 +289,9 @@ class TestDfa:
         with pytest.raises(InvalidArgumentError):
             dfa_exponent(np.full(1000, 1.0), (100, 200))  # both F(n) == 0
 
-    def test_profile_ordering(self):
+    def test_exponent_ignores_scale_order(self):
         x = np.random.default_rng(3).standard_normal(8192)
-        prof = dfa_profile(x, (300, 100, 200))
-        np.testing.assert_array_equal(prof.scales, [100, 200, 300])
+        assert dfa_exponent(x, (300, 100, 200)) == dfa_exponent(x, (100, 200, 300))
 
 
 class TestRecurrencePlot:
