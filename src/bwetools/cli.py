@@ -61,6 +61,13 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+def _int_option(cfg: dict, key: str, default: int) -> int:
+    value = cfg.get(key, default)
+    if type(value) is not int:
+        raise InvalidArgumentError(f"config {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def cmd_degrade(args, cfg: dict) -> int:
     wf = signal.load_wav(args.input)
     out = signal.degrade(wf, args.low_rate)
@@ -95,7 +102,7 @@ def _mrld(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
 
 def _msdfa(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
     scales = cfg.get("scales", featmaps.DEFAULT_DFA_SCALES)
-    side = int(cfg.get("side", 64))
+    side = _int_option(cfg, "side", 64)
     return _write_stack(featmaps.msdfa_features(wf, scales, side), out_dir, "msdfa")
 
 
@@ -117,7 +124,7 @@ def _mrad_mrpd(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
 
 
 def _rp(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
-    plot = nld.recurrence_plot(wf.samples, int(cfg.get("max_size", 512)))
+    plot = nld.recurrence_plot(wf.samples, _int_option(cfg, "max_size", 512))
     base = out_dir / "recurrence"
     spectral.write_csv(base.with_suffix(".csv"), plot.matrix)
     return {

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .nld import EmbeddingParams, dfa_fluctuation, lyapunov_exponents, lyapunov_windows
+from .nld import EmbeddingParams, _sizes, dfa_fluctuation, lyapunov_exponents, lyapunov_windows
 from .signal import Waveform, frame
 from .spectral import MagPhase, StftConfig, stft, to_mag_phase
 
@@ -122,8 +122,9 @@ def mrld_raw_exponents(wf: Waveform, window: int, p: EmbeddingParams | None = No
 def msdfa_features(
     wf: Waveform, scales=DEFAULT_DFA_SCALES, side: int = 64
 ) -> FeatureMapStack:
-    """DFA fluctuations tiled into constant side x side maps, one per scale."""
-    scales = sorted(int(n) for n in scales)
+    """DFA fluctuations tiled into constant side x side maps, one per scale, in
+    ascending scale order. Scales must be distinct integers >= 1."""
+    scales = _sizes(scales, "DFA scales")
     if side < 1:
         raise InvalidArgumentError("tile side must be >= 1")
     data = np.zeros((len(scales), side, side))

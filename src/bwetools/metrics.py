@@ -4,13 +4,13 @@ intelligibility."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError
-from .signal import ResampleConfig, Waveform, resample
+from .signal import ResampleConfig, Waveform, peak_exponent, resample
 from .spectral import StftConfig, stft
 
 __all__ = ["MetricReport", "lsd", "si_sdr", "si_snr", "stoi", "evaluate"]
@@ -74,20 +74,10 @@ def lsd(ref: Waveform, est: Waveform) -> float:
     return float(np.mean(np.sqrt(np.mean(diff**2, axis=0))))
 
 
-def _unit_peak(x: np.ndarray) -> np.ndarray:
-    """x scaled by the power of two that brings its peak into [0.5, 1).
-
-    Power-of-two scaling is exact, so results are unchanged for in-range input
-    while 1e200-sized (or 1e-200-sized) signals no longer overflow (underflow)
-    in the dot products."""
-    peak = float(max(x.max(initial=0.0), -x.min(initial=0.0)))
-    exponent = math.frexp(peak)[1]
-    return np.ldexp(x, -exponent) if exponent else x
-
-
 def _si_ratio(ref: np.ndarray, est: np.ndarray) -> float:
-    ref = _unit_peak(ref)
-    est = _unit_peak(est)
+    # each signal's peak scaled into [0.5, 1), so 1e200 does not overflow the dot products
+    ref = np.ldexp(ref, -peak_exponent(ref))
+    est = np.ldexp(est, -peak_exponent(est))
     denom = float(ref @ ref)
     if denom == 0.0:
         raise InvalidArgumentError("reference signal is all zero")
@@ -176,23 +166,22 @@ def stoi(ref: Waveform, est: Waveform) -> float:
     env_x = np.sqrt(bands.astype(float) @ (np.abs(spec_x) ** 2))
     env_y = np.sqrt(bands.astype(float) @ (np.abs(spec_y) ** 2))
 
+    # (segments, bands, seg): every 30-frame reduction runs along the last,
+    # contiguous axis, and the correlations come out segment-major
+    xs = np.ascontiguousarray(sliding_window_view(env_x, seg, axis=1).transpose(1, 0, 2))
+    ys = np.ascontiguousarray(sliding_window_view(env_y, seg, axis=1).transpose(1, 0, 2))
+    norm_x = np.linalg.norm(xs, axis=2, keepdims=True)
+    norm_y = np.linalg.norm(ys, axis=2, keepdims=True)
+    alpha = norm_x / np.maximum(norm_y, 1e-12)
     clip_gain = 10.0 ** (-c["sdr_bound_db"] / 20.0)
-    scores = []
-    for m in range(seg, env_x.shape[1] + 1):
-        xs = env_x[:, m - seg : m]
-        ys = env_y[:, m - seg : m]
-        norm_x = np.linalg.norm(xs, axis=1, keepdims=True)
-        norm_y = np.linalg.norm(ys, axis=1, keepdims=True)
-        alpha = norm_x / np.maximum(norm_y, 1e-12)
-        ys = np.minimum(ys * alpha, xs * (1.0 + clip_gain))
-        xs = xs - xs.mean(axis=1, keepdims=True)
-        ys = ys - ys.mean(axis=1, keepdims=True)
-        denom = np.linalg.norm(xs, axis=1) * np.linalg.norm(ys, axis=1)
-        ok = denom > 1e-12
-        corr = np.sum(xs * ys, axis=1)[ok] / denom[ok]
-        scores.extend(corr.tolist())
-    if not scores:
+    ys = np.minimum(ys * alpha, xs * (1.0 + clip_gain))
+    xs = xs - xs.mean(axis=2, keepdims=True)
+    ys = ys - ys.mean(axis=2, keepdims=True)
+    denom = np.linalg.norm(xs, axis=2) * np.linalg.norm(ys, axis=2)
+    ok = denom > 1e-12
+    if not ok.any():
         return 0.0
+    scores = np.sum(xs * ys, axis=2)[ok] / denom[ok]
     return float(np.clip(np.mean(scores), 0.0, 1.0))
 
 

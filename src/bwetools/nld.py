@@ -11,6 +11,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError
+from .signal import peak_exponent
 
 __all__ = [
     "EmbeddingParams",
@@ -83,18 +84,18 @@ class RecurrencePlot:
 
 
 def delay_embed(x, d: int, tau: int) -> np.ndarray:
-    """Takens embedding: row j = (x[j], x[j+tau], ..., x[j+(d-1)tau])."""
+    """Takens embedding over the last axis, as a fresh writable array: row j =
+    (x[j], x[j+tau], ..., x[j+(d-1)tau]), so a series gives (L - span, d) and
+    (count, L) segments give (count, L - span, d), span = (d-1)*tau."""
     x = np.asarray(x, dtype=np.float64)
     if d < 1 or tau < 1:
         raise InvalidArgumentError("d and tau must be >= 1")
     span = (d - 1) * tau
-    if x.size < span + 1:
-        raise InvalidArgumentError(
-            f"need at least {span + 1} samples for d={d}, tau={tau}, got {x.size}"
-        )
-    m = x.size - span
-    idx = np.arange(m)[:, None] + tau * np.arange(d)[None, :]
-    return x[idx]
+    length = x.shape[-1] if x.ndim else 0
+    if length < span + 1:
+        raise InvalidArgumentError(f"need >= {span + 1} samples for d={d}, tau={tau}, got {length}")
+    # copy, not ascontiguousarray: at d = 1 the read-only view counts as contiguous
+    return sliding_window_view(x, span + 1, axis=-1)[..., ::tau].copy()
 
 
 # A nonzero difference of two samples that are each 0 or at least 2**-459
@@ -115,12 +116,6 @@ def _horizon(length: int, p: EmbeddingParams) -> tuple[int, int, int]:
             f"{span} plus divergence horizon {delta}"
         )
     return length - span - delta, delta, theiler
-
-
-def _embed(segments: np.ndarray, p: EmbeddingParams) -> np.ndarray:
-    """Delay embedding of each row: (count, length - span, d)."""
-    span = (p.d - 1) * p.tau
-    return np.ascontiguousarray(sliding_window_view(segments, span + 1, axis=1)[:, :, :: p.tau])
 
 
 def _band(rows: int, cols: int, lo: int, hi: int) -> np.ndarray:
@@ -233,8 +228,8 @@ def _exponents(segments: np.ndarray, p: EmbeddingParams, nn=None) -> tuple[np.nd
     n, delta, theiler = _horizon(length, p)
     if n < 2 or count == 0:
         return np.zeros(count), np.ones(count, dtype=bool)
-    exponent = np.frexp(np.abs(segments).max(axis=1))[1][:, None]
-    y = _embed(np.ldexp(segments, -exponent), p)
+    exponent = peak_exponent(segments, axis=1)
+    y = delay_embed(np.ldexp(segments, -exponent), p.d, p.tau)
     if nn is None:
         nn = _nearest(y, n, theiler)[1]
     flat_nn = nn + y.shape[1] * np.arange(count)[:, None]
@@ -274,18 +269,20 @@ def lyapunov_exponents(segments, p: EmbeddingParams | None = None) -> tuple[np.n
     return _exponents(segments, p)
 
 
-def _window_sizes(windows) -> list[int]:
-    windows = list(windows)
-    if not windows:
-        raise InvalidArgumentError("need at least one window size")
+def _sizes(values, what: str) -> list[int]:
+    """`values` as ascending ints: a non-empty set of distinct integers >= 1,
+    else InvalidArgumentError naming `what` ("window sizes", "DFA scales")."""
+    values = list(values)
+    if not values:
+        raise InvalidArgumentError(f"{what} must not be empty")
     try:
-        sizes = [int(w) for w in windows]
+        sizes = [int(v) for v in values]
     except (TypeError, ValueError, OverflowError):
-        raise InvalidArgumentError(f"window sizes must be integers, got {windows}") from None
-    if any(s != w for s, w in zip(sizes, windows)) or min(sizes) < 1:
-        raise InvalidArgumentError(f"window sizes must be integers >= 1, got {windows}")
+        raise InvalidArgumentError(f"{what} must be integers, got {values}") from None
+    if any(s != v for s, v in zip(sizes, values)) or min(sizes) < 1:
+        raise InvalidArgumentError(f"{what} must be integers >= 1, got {values}")
     if len(set(sizes)) != len(sizes):
-        raise InvalidArgumentError(f"window sizes must be distinct, got {windows}")
+        raise InvalidArgumentError(f"{what} must be distinct, got {values}")
     return sorted(sizes)
 
 
@@ -308,11 +305,11 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise InvalidArgumentError("x must be one-dimensional")
-    z = np.ldexp(x, -np.frexp(np.abs(x).max(initial=0.0))[1])
+    z = np.ldexp(x, -peak_exponent(x))
     shared = bool(np.all((z == 0) | (np.abs(z) >= _SHARED_SCALE_FLOOR)))
     out = {}
     searched = None  # (window, distances, neighbors) on the clip scale
-    for w in _window_sizes(windows):
+    for w in _sizes(windows, "window sizes"):
         count = x.size // w
         segments = x[: count * w].reshape(count, w)
         try:
@@ -322,7 +319,7 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
             continue
         nn = None
         if shared and n >= 2 and count:
-            pts = _embed(z[: count * w].reshape(count, w), p)
+            pts = delay_embed(z[: count * w].reshape(count, w), p.d, p.tau)
             if searched is not None and 2 * searched[0] == w:
                 searched = (w, *_nearest_from_halves(pts, n, theiler, *searched))
             else:
@@ -367,8 +364,8 @@ def dfa_fluctuation(x, n: int) -> float:
 
 def dfa_exponent(x, scales) -> float:
     """Least-squares slope of log F(n) vs log n over the scales in ascending
-    order; zero fluctuations excluded."""
-    scales = np.array(sorted(int(n) for n in scales), dtype=np.int64)
+    order; zero fluctuations excluded. Scales must be distinct integers."""
+    scales = np.array(_sizes(scales, "DFA scales"), dtype=np.int64)
     fluctuations = np.array([dfa_fluctuation(x, n) for n in scales])
     keep = fluctuations > 0
     if np.count_nonzero(keep) < 2:
@@ -382,13 +379,15 @@ def dfa_exponent(x, scales) -> float:
 def recurrence_plot(x, max_size: int = 512) -> RecurrencePlot:
     """Thresholded distance matrix: R[i,j] = 1 iff |x[i]-x[j]| < mean distance.
 
-    Sequences longer than max_size are decimated by a uniform stride first.
-    The threshold is the mean of the strict upper triangle; the diagonal is
-    forced to 1.
+    Sequences longer than max_size (at least 2) are decimated by a uniform
+    stride first. The threshold is the mean of the strict upper triangle; the
+    diagonal is forced to 1.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size < 2:
         raise InvalidArgumentError("need at least 2 samples")
+    if max_size < 2:
+        raise InvalidArgumentError(f"max_size must be >= 2, got {max_size}")
     if x.size > max_size:
         stride = math.ceil(x.size / max_size)
         x = x[::stride]

@@ -7,6 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError, UnreadableFileError, UnsupportedEncodingError
 
@@ -18,6 +19,7 @@ __all__ = [
     "resample",
     "degrade",
     "frame",
+    "peak_exponent",
 ]
 
 
@@ -163,13 +165,9 @@ def degrade(wf: Waveform, low_rate: int, cfg: ResampleConfig | None = None) -> W
         raise InvalidArgumentError(
             f"low_rate must be below the waveform rate ({low_rate} >= {wf.rate})"
         )
-    narrow = resample(wf, low_rate, cfg)
-    restored = resample(narrow, wf.rate, cfg)
-    n = len(wf)
-    out = restored.samples[:n]
-    if out.size < n:
-        out = np.pad(out, (0, n - out.size))
-    return Waveform(out, wf.rate)
+    # resample returns ceil(n * up / down) samples, so the round trip is never short
+    restored = resample(resample(wf, low_rate, cfg), wf.rate, cfg)
+    return Waveform(restored.samples[: len(wf)], wf.rate)
 
 
 def frame(wf: Waveform, size: int, hop: int) -> np.ndarray:
@@ -180,9 +178,15 @@ def frame(wf: Waveform, size: int, hop: int) -> np.ndarray:
     """
     if size < 1 or hop < 1:
         raise InvalidArgumentError("size and hop must be >= 1")
-    x = wf.samples
-    if x.size < size:
+    if len(wf) < size:
         return np.empty((0, size), dtype=np.float64)
-    n_frames = 1 + (x.size - size) // hop
-    idx = np.arange(size)[None, :] + hop * np.arange(n_frames)[:, None]
-    return x[idx]
+    return sliding_window_view(wf.samples, size)[::hop].copy()
+
+
+def peak_exponent(x: np.ndarray, axis: int | None = None) -> np.ndarray:
+    """math.frexp's exponent e of the peak |x|, 0 for all-zero input; per slice
+    along `axis` when given, reduced axes kept. np.ldexp(x, -e) brings each peak
+    into [0.5, 1) exactly, so 1e200- or 1e-200-sized input neither overflows nor
+    underflows downstream, and in-range results are unchanged."""
+    kw = dict(axis=axis, keepdims=True, initial=0.0)
+    return np.frexp(np.maximum(x.max(**kw), -x.min(**kw)))[1]

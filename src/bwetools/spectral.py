@@ -11,6 +11,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError
 from .signal import Waveform
@@ -119,11 +120,6 @@ class MagPhase:
             raise InvalidArgumentError("mag and phase must share a shape")
 
 
-def _frame_starts(n_padded: int, cfg: StftConfig) -> np.ndarray:
-    n_frames = 1 + (n_padded - cfg.n_fft) // cfg.hop
-    return cfg.hop * np.arange(n_frames)
-
-
 def stft(wf: Waveform, cfg: StftConfig | None = None) -> ComplexSpectrogram:
     """One-sided STFT; with center=True the signal is zero-padded by
     n_fft//2 on both ends so frame t is centered on sample t*hop."""
@@ -135,8 +131,7 @@ def stft(wf: Waveform, cfg: StftConfig | None = None) -> ComplexSpectrogram:
         raise InvalidArgumentError(
             f"signal too short for one frame ({x.size} < {cfg.n_fft})"
         )
-    starts = _frame_starts(x.size, cfg)
-    frames = x[starts[:, None] + np.arange(cfg.n_fft)[None, :]]
+    frames = sliding_window_view(x, cfg.n_fft)[:: cfg.hop]
     spec = np.fft.rfft(frames * cfg.window_array(), axis=1).T
     return ComplexSpectrogram(spec, cfg, n_samples=len(wf))
 

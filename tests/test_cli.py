@@ -190,12 +190,35 @@ class TestConfig:
         doc = json.loads(capsys.readouterr().out)
         assert doc["shape"] == [5, 8, 8]
 
-    @pytest.mark.parametrize("windows", [[0, 64], [-64, 128], [64, 64], [64.7, 128]])
+    @pytest.mark.parametrize("windows", [[0, 64], [-64, 128], [64, 64], [64.7, 128], [], ["a"]])
     def test_bad_mrld_windows(self, clip_path, tmp_path, windows):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"windows": windows}))
         argv = ["--config", str(cfg), "features", str(clip_path), "mrld", str(tmp_path / "m")]
         assert main(argv) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "extractor, config",
+        [
+            ("msdfa", {"scales": [100, 100, 200]}),
+            ("msdfa", {"scales": [100.7, 200]}),
+            ("msdfa", {"scales": []}),
+            ("msdfa", {"scales": ["a"]}),
+            ("msdfa", {"side": "x"}),
+            ("msdfa", {"side": 8.7}),
+            ("rp", {"max_size": "x"}),
+            ("rp", {"max_size": 8.7}),
+            ("rp", {"max_size": 0}),
+            ("rp", {"max_size": 1}),
+            ("rp", {"max_size": -5}),
+        ],
+    )
+    def test_bad_config_values(self, clip_path, tmp_path, capsys, extractor, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), "features", str(clip_path), extractor, str(tmp_path / "f")]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
     def test_bad_config(self, clip_path, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -13,13 +13,17 @@ from bwetools.featmaps import (
     msdfa_features,
     resolution_params,
 )
-from bwetools.nld import dfa_fluctuation
+from bwetools.nld import dfa_exponent, dfa_fluctuation
 from bwetools.signal import Waveform
 from conftest import logistic_orbit
 
 
 def noise_wave(n, seed=0, rate=48000):
     return Waveform(np.random.default_rng(seed).uniform(-1, 1, n), rate)
+
+
+# window sizes and DFA scales go through one validator: each of these is rejected
+BAD_SIZES = [(), (0, 64), (-64, 128), (64, 64), (64.7, 128), ("64",), (100, 100, 200), (100.7, 200), ("a",)]
 
 
 class TestMrld:
@@ -88,7 +92,7 @@ class TestMrld:
         assert all(c["degenerate"] for c in tiny.meta["channels"])
         assert np.all(tiny.data == 0)
 
-    @pytest.mark.parametrize("windows", [(), (0, 64), (-64, 128), (64, 64), (64.7, 128), ("64",)])
+    @pytest.mark.parametrize("windows", BAD_SIZES)
     def test_bad_windows_rejected(self, windows):
         with pytest.raises(InvalidArgumentError):
             mrld_features(noise_wave(2048), windows)
@@ -117,6 +121,14 @@ class TestMsdfa:
         metas = {m["scale"]: m for m in stack.meta["channels"]}
         assert metas[300]["degenerate"] and metas[600]["degenerate"]
         assert not metas[100]["degenerate"]
+
+    @pytest.mark.parametrize("scales", BAD_SIZES)
+    @pytest.mark.parametrize(
+        "extract", [msdfa_features, lambda wf, scales: dfa_exponent(wf.samples, scales)], ids=["msdfa", "dfa_exponent"]
+    )
+    def test_bad_scales_rejected(self, extract, scales):
+        with pytest.raises(InvalidArgumentError):
+            extract(noise_wave(4096), scales)
 
 
 class TestMradMrpd:

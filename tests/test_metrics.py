@@ -5,9 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bwetools.demo import synthetic_speech
 from bwetools.errors import InvalidArgumentError
-from bwetools.metrics import SI_CAP_DB, evaluate, lsd, si_sdr, si_snr, stoi
-from bwetools.signal import Waveform, degrade
+from bwetools.metrics import (
+    SI_CAP_DB,
+    STOI_CONFIG,
+    _third_octave_bands,
+    evaluate,
+    lsd,
+    si_sdr,
+    si_snr,
+    stoi,
+)
+from bwetools.signal import Waveform, degrade, resample
+from bwetools.spectral import StftConfig, stft
 
 
 def noise_wave(n, seed=0, rate=16000):
@@ -149,6 +160,57 @@ class TestStoi:
         short = Waveform(speech_clip.samples[:4800], 48000)
         with pytest.raises(InvalidArgumentError):
             stoi(short, short)
+
+
+def reference_stoi(ref, est):
+    """Per-segment STOI loop the vectorised `stoi` must match bit for bit
+    (preconditions left to `stoi`)."""
+    c = STOI_CONFIG
+    x = resample(ref, c["rate"]).samples
+    y = resample(est, c["rate"]).samples
+    n = min(x.size, y.size)
+    cfg = StftConfig(n_fft=c["n_fft"], win_length=c["n_fft"], hop=c["hop"], center=False)
+    spec_x = stft(Waveform(x[:n], c["rate"]), cfg).data
+    spec_y = stft(Waveform(y[:n], c["rate"]), cfg).data
+    frame_energy = np.sum(np.abs(spec_x) ** 2, axis=0)
+    keep = frame_energy > frame_energy.max() * 10.0 ** (-c["dyn_range_db"] / 10.0)
+    bands = _third_octave_bands(c["rate"], c["n_fft"], c["n_bands"], c["first_center_hz"])
+    env_x = np.sqrt(bands.astype(float) @ (np.abs(spec_x[:, keep]) ** 2))
+    env_y = np.sqrt(bands.astype(float) @ (np.abs(spec_y[:, keep]) ** 2))
+    clip_gain = 10.0 ** (-c["sdr_bound_db"] / 20.0)
+    seg = c["segment_frames"]
+    scores = []
+    for m in range(seg, env_x.shape[1] + 1):
+        xs = env_x[:, m - seg : m]
+        ys = env_y[:, m - seg : m]
+        norm_x = np.linalg.norm(xs, axis=1, keepdims=True)
+        norm_y = np.linalg.norm(ys, axis=1, keepdims=True)
+        ys = np.minimum(ys * (norm_x / np.maximum(norm_y, 1e-12)), xs * (1.0 + clip_gain))
+        xs = xs - xs.mean(axis=1, keepdims=True)
+        ys = ys - ys.mean(axis=1, keepdims=True)
+        denom = np.linalg.norm(xs, axis=1) * np.linalg.norm(ys, axis=1)
+        ok = denom > 1e-12
+        scores.extend((np.sum(xs * ys, axis=1)[ok] / denom[ok]).tolist())
+    return float(np.clip(np.mean(scores), 0.0, 1.0)) if scores else 0.0
+
+
+class TestStoiOracle:
+    @given(
+        seed=st.integers(0, 2**16),
+        rate=st.sampled_from([16000, 44100, 48000]),
+        duration=st.floats(1.0, 2.0),
+        noise=st.sampled_from([0.0, 0.01, 0.3, 3.0, None]),  # None: all-zero estimate
+        degraded=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_segment_loop(self, seed, rate, duration, noise, degraded):
+        ref = synthetic_speech(duration=duration, rate=rate, seed=seed)
+        base = degrade(ref, 8000) if degraded else ref
+        if noise is None:
+            est = Waveform(np.zeros(len(ref)), rate)
+        else:
+            est = Waveform(base.samples + noise * np.random.default_rng(seed).standard_normal(len(ref)), rate)
+        assert stoi(ref, est) == reference_stoi(ref, est)
 
 
 class TestEvaluate:

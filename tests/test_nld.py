@@ -42,6 +42,26 @@ class TestDelayEmbed:
             delay_embed([1, 2], d=3, tau=1)
 
     @given(
+        d=st.integers(1, 5),
+        tau=st.integers(1, 4),
+        extra=st.integers(0, 40),
+        count=st.one_of(st.none(), st.integers(0, 3)),  # None: one 1-D series
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_index_definition(self, d, tau, extra, count):
+        """out[..., j, k] == x[..., j + tau*k] for 1-D series and segment
+        stacks, as a fresh writable array that does not alias x."""
+        length = (d - 1) * tau + 1 + extra
+        shape = (length,) if count is None else (count, length)
+        x = np.random.default_rng(length).standard_normal(shape)
+        out = delay_embed(x, d, tau)
+        j, k = np.ogrid[: length - (d - 1) * tau, :d]
+        assert np.array_equal(out, x[..., j + tau * k])
+        assert out.flags.writeable and out.flags.c_contiguous
+        out[...] = 7.0
+        assert not np.any(x == 7.0)
+
+    @given(
         d=st.integers(1, 4),
         tau=st.integers(1, 4),
         extra=st.integers(0, 20),
@@ -325,6 +345,11 @@ class TestRecurrencePlot:
     def test_too_short(self):
         with pytest.raises(InvalidArgumentError):
             recurrence_plot(np.array([1.0]))
+
+    @pytest.mark.parametrize("max_size", [1, 0, -5])
+    def test_bad_max_size(self, max_size):
+        with pytest.raises(InvalidArgumentError):
+            recurrence_plot(np.random.default_rng(0).standard_normal(50), max_size)
 
 
 class TestPoincare:

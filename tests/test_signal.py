@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.io import wavfile
 
 from bwetools.errors import (
@@ -119,6 +121,22 @@ class TestDegrade:
         out = degrade(wf, 31997)
         assert len(out) == n and out.rate == 48000
 
+    @given(
+        n=st.integers(1, 3000),
+        rates=st.lists(
+            st.sampled_from([8000, 11025, 16000, 22050, 24000, 32000, 44100, 48000]),
+            min_size=2,
+            max_size=2,
+            unique=True,
+        ),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_never_short(self, n, rates):
+        # degrade keeps the first len(wf) samples of this round trip unpadded
+        low, rate = sorted(rates)
+        wf = Waveform(np.random.default_rng(n).standard_normal(n), rate)
+        assert len(resample(resample(wf, low), wf.rate)) >= len(wf)
+
     def test_low_rate_validation(self):
         wf = Waveform(np.zeros(100), 48000)
         with pytest.raises(InvalidArgumentError):
@@ -144,6 +162,13 @@ class TestFrame:
         out = frame(wf, 4, 4)
         assert out.shape == (1, 4)
         np.testing.assert_array_equal(out[0], wf.samples)
+
+    def test_overlapping_is_fresh_copy(self):
+        wf = Waveform(np.arange(10, dtype=float), 8000)
+        out = frame(wf, 4, 3)
+        np.testing.assert_array_equal(out, [[0, 1, 2, 3], [3, 4, 5, 6], [6, 7, 8, 9]])
+        out[0, 3] = -1.0
+        assert out[1, 0] == 3.0 and wf.samples[3] == 3.0
 
     def test_too_short_is_empty(self):
         out = frame(Waveform(np.arange(3, dtype=float), 8000), 4, 4)

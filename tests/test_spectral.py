@@ -120,6 +120,38 @@ class TestStft:
         assert abs(spec_energy / sig_energy - 1) < 0.01
 
 
+def reference_stft(wf, cfg):
+    """Index-grid framing the sliding-window `stft` must match bit for bit."""
+    x = wf.samples
+    if cfg.center:
+        x = np.pad(x, (cfg.n_fft // 2, cfg.n_fft // 2))
+    starts = cfg.hop * np.arange(1 + (x.size - cfg.n_fft) // cfg.hop)
+    frames = x[starts[:, None] + np.arange(cfg.n_fft)[None, :]]
+    return np.fft.rfft(frames * cfg.window_array(), axis=1).T
+
+
+class TestStftOracle:
+    @given(
+        log_fft=st.integers(0, 11),
+        win_shrink=st.integers(0, 3),
+        hop_shrink=st.integers(1, 4),
+        center=st.booleans(),
+        length=st.integers(1, 12000),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_index_grid(self, log_fft, win_shrink, hop_shrink, center, length, seed):
+        n_fft = 1 << log_fft
+        win = max(1, n_fft >> win_shrink)
+        cfg = StftConfig(n_fft=n_fft, win_length=win, hop=max(1, win >> hop_shrink), center=center)
+        wf = Waveform(np.random.default_rng(seed).standard_normal(length), 16000)
+        if length + 2 * (n_fft // 2) * center < n_fft:
+            with pytest.raises(InvalidArgumentError):
+                stft(wf, cfg)
+            return
+        assert np.array_equal(stft(wf, cfg).data, reference_stft(wf, cfg))
+
+
 class TestMagPhase:
     def test_unit_entry(self):
         cfg = StftConfig()
