@@ -3,7 +3,11 @@ degradation simulator (downsample + sinc-interpolated upsample)."""
 
 from __future__ import annotations
 
+import functools
+import io
 import math
+import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,47 +72,164 @@ class ResampleConfig:
             raise InvalidArgumentError("rolloff must be in (0, 1]")
 
 
+_PCM, _IEEE_FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+# Last 12 bytes of the KSDATAFORMAT_SUBTYPE GUID (RFC 2361) in an EXTENSIBLE
+# fmt chunk; the first three GUID groups follow the file's byte order.
+_SUBTYPE_TAIL = {
+    "<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71",
+    ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71",
+}
+
+
+def _unpack(fmt: str, raw: bytes) -> tuple:
+    if len(raw) != struct.calcsize(fmt):
+        raise ValueError("file ends inside a header")
+    return struct.unpack(fmt, raw)
+
+
+def _read_fmt(f, e: str) -> tuple:
+    """(format tag, channels, rate, block align, bits per sample) of a fmt
+    chunk, the file left on the next chunk."""
+    size, tag, channels, rate, byte_rate, align, bits = _unpack(e + "IHHIIHH", f.read(20))
+    if size < 16:
+        raise ValueError(f"fmt chunk of {size} bytes")
+    used = 16
+    if tag == _EXTENSIBLE:
+        if size < 18 or _unpack(e + "H", f.read(2))[0] < 22:
+            raise ValueError("EXTENSIBLE fmt chunk without a subformat")
+        guid = f.read(22)[6:]
+        used = 40
+        if guid.endswith(_SUBTYPE_TAIL[e]):
+            tag = struct.unpack(e + "I", guid[:4])[0]
+    if tag not in (_PCM, _IEEE_FLOAT):
+        raise ValueError(f"format tag {tag:#06x} is neither PCM nor IEEE float")
+    f.seek(max(size - used, 0) + size % 2, 1)
+    if tag == _PCM and byte_rate != rate * align:
+        raise ValueError("byte rate is not sample rate x block align")
+    return tag, channels, rate, align, bits
+
+
+def _read_data(f, buf: bytes, e: str, fmt: tuple, size: int | None) -> np.ndarray:
+    """The whole frames of a data chunk as a (frames, channels) int16 or
+    float32 view of buf, the image f reads, in file byte order; size is the
+    ds64 data size of an RF64 file."""
+    tag, channels, _, align, bits = fmt
+    raw_size = f.read(4)
+    if size is None:
+        size = _unpack(e + "I", raw_size)[0]
+    width = align // channels if channels else 0
+    # the sample container decides, as in scipy: 12-bit PCM in 2 bytes is PCM16
+    if tag == _PCM and width == 2 and not 1 <= bits <= 8 and bits <= 64:
+        dtype = e + "i2"
+    elif tag == _IEEE_FLOAT and width == 4 and bits in (32, 64):
+        dtype = e + "f4"
+    else:
+        kind = "PCM" if tag == _PCM else "float"
+        raise ValueError(f"{bits}-bit {kind} in {align}-byte frames of {channels} channels "
+                         "(want PCM16 or float32)")
+    count = size // width
+    start = f.tell()
+    present = min(count * width, max(len(buf) - start, 0))
+    f.seek(present + size % 2, 1)
+    got = present // width
+    if got < count:
+        warnings.warn(f"data chunk cut short: {got // channels} of {count // channels} frames")
+    elif count % channels:
+        raise ValueError(f"data chunk of {size} bytes is not whole {align}-byte frames")
+    frames = np.frombuffer(buf, dtype, got - got % channels, min(start, len(buf)))
+    return frames.reshape(-1, channels)
+
+
+def _read_riff(buf: bytes) -> tuple[int, np.ndarray]:
+    """(rate, frames) of the RIFF, RIFX or RF64 WAV file image buf. Chunks are
+    read in order as scipy.io.wavfile.read reads them, through a file object
+    whose reads stop at the end and whose seeks may pass it: each fmt chunk
+    replaces the last, the last data chunk wins, and fact, LIST, JUNK and
+    unknown chunks are skipped with their pad byte. Raises ValueError for
+    anything else."""
+    f = io.BytesIO(buf)
+    magic = f.read(4)
+    if magic not in (b"RIFF", b"RIFX", b"RF64"):
+        raise ValueError(f"file starts with {magic!r}, not RIFF, RIFX or RF64")
+    e = ">" if magic == b"RIFX" else "<"
+    data_size = None
+    if magic == b"RF64":
+        form = f.read(8)[4:]
+        if f.read(4) != b"ds64":
+            raise ValueError("RF64 file without a ds64 chunk")
+        ds64_size, riff_size, data_size = _unpack("<IQQ", f.read(20))
+        f.seek(ds64_size - 16, 1)
+    else:
+        riff_size = _unpack(e + "I", f.read(4))[0]
+        form = f.read(4)
+    if form != b"WAVE":
+        raise ValueError(f"RIFF form {form!r} is not WAVE")
+    fmt = frames = None
+    while f.tell() < riff_size + 8:
+        chunk = f.read(4)
+        if len(chunk) < 4:
+            if frames is None:
+                raise ValueError("file ends before its data chunk")
+            break
+        if chunk == b"fmt ":
+            fmt = _read_fmt(f, e)
+        elif chunk == b"data":
+            if fmt is None:
+                raise ValueError("data chunk before the fmt chunk")
+            frames = _read_data(f, buf, e, fmt, data_size)
+        elif raw := f.read(4):
+            size = _unpack(e + "I", raw)[0]
+            f.seek(size + size % 2, 1)
+    if frames is None:
+        raise ValueError("no data chunk")
+    return fmt[2], frames
+
+
 def load_wav(path) -> Waveform:
-    """Read a RIFF WAV file (PCM16 or IEEE float32) into a mono Waveform.
+    """Read a WAV file (PCM16 or IEEE float32; RIFF, RIFX or RF64, plain or
+    EXTENSIBLE fmt) into a mono Waveform.
 
-    Multichannel inputs are averaged to mono; PCM16 is scaled by 1/32768.
+    Multichannel inputs are averaged to mono; PCM16 is scaled by 1/32768. A
+    data chunk cut short gives its whole frames and a warning. Raises
+    UnreadableFileError if the file cannot be opened or read, and
+    UnsupportedEncodingError for any other encoding or a malformed header.
     """
-    from scipy.io import wavfile
-
     try:
         with open(path, "rb") as fh:
-            rate, data = wavfile.read(fh)
-    except FileNotFoundError as exc:
-        raise UnreadableFileError(f"cannot open {path!r}: {exc}") from exc
-    except PermissionError as exc:
-        raise UnreadableFileError(f"cannot open {path!r}: {exc}") from exc
-    except Exception as exc:  # malformed RIFF, unsupported chunk layout
+            buf = fh.read()
+    except OSError as exc:
+        raise UnreadableFileError(f"cannot read {path!r}: {exc}") from exc
+    try:
+        rate, frames = _read_riff(buf)
+    except ValueError as exc:
         raise UnsupportedEncodingError(f"unsupported encoding in {path!r}: {exc}") from exc
 
-    if data.dtype == np.int16:
-        samples = data.astype(np.float64) / 32768.0
-    elif data.dtype == np.float32:
-        samples = data.astype(np.float64)
-    else:
-        raise UnsupportedEncodingError(
-            f"unsupported sample format {data.dtype} in {path!r} (want int16 or float32)"
-        )
-    if samples.ndim == 2:
-        samples = samples.mean(axis=1)
+    samples = frames.astype(np.float64)
+    if frames.dtype.kind == "i":
+        samples /= 32768.0
+    samples = samples.mean(axis=1) if frames.shape[1] > 1 else samples[:, 0]
     return Waveform(samples, int(rate))
 
 
 def save_wav(path, wf: Waveform, encoding: str = "float32") -> None:
-    """Write a Waveform as RIFF PCM16 or IEEE float32."""
-    from scipy.io import wavfile
-
+    """Write a Waveform as mono RIFF PCM16 (44-byte header) or IEEE float32
+    (58-byte header with a fact chunk)."""
     if encoding == "float32":
-        wavfile.write(path, wf.rate, wf.samples.astype(np.float32))
+        data = wf.samples.astype("<f4")
+        fmt = struct.pack("<HHIIHHH", _IEEE_FLOAT, 1, wf.rate, 4 * wf.rate, 4, 32, 0)
+        fact = b"fact" + struct.pack("<II", 4, data.size)
     elif encoding == "pcm16":
         clipped = np.clip(wf.samples, -1.0, 32767.0 / 32768.0)
-        wavfile.write(path, wf.rate, np.round(clipped * 32768.0).astype(np.int16))
+        data = np.round(clipped * 32768.0).astype("<i2")
+        fmt = struct.pack("<HHIIHH", _PCM, 1, wf.rate, 2 * wf.rate, 2, 16)
+        fact = b""
     else:
         raise InvalidArgumentError(f"unknown encoding {encoding!r}")
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt + fact
+    chunks += b"data" + struct.pack("<I", data.nbytes)
+    with open(path, "wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", 4 + len(chunks) + data.nbytes) + b"WAVE" + chunks)
+        fh.write(data)
 
 
 def _design_lowpass(cutoff: float, half_width: int, beta: float) -> np.ndarray:
@@ -124,19 +245,13 @@ def _design_lowpass(cutoff: float, half_width: int, beta: float) -> np.ndarray:
     return taps / taps.sum()
 
 
-def resample(wf: Waveform, target_rate: int, cfg: ResampleConfig | None = None) -> Waveform:
-    """Polyphase windowed-sinc resampling to target_rate."""
-    from scipy.signal import upfirdn
-
-    if target_rate <= 0:
-        raise InvalidArgumentError("target_rate must be positive")
-    cfg = cfg or ResampleConfig()
-    if target_rate == wf.rate:
-        return Waveform(wf.samples.copy(), wf.rate)
-
-    g = math.gcd(wf.rate, target_rate)
-    up = target_rate // g
-    down = wf.rate // g
+@functools.lru_cache(maxsize=16)
+def _resample_plan(rate_in: int, rate_out: int, cfg: ResampleConfig) -> tuple:
+    """(taps, up, down, skip) for rate_in -> rate_out Hz; the read-only taps
+    are shared by every call at that rate pair and config."""
+    g = math.gcd(rate_in, rate_out)
+    up = rate_out // g
+    down = rate_in // g
     cutoff = cfg.rolloff * min(1.0 / up, 1.0 / down)
     taps = _design_lowpass(cutoff, cfg.filter_half_width, cfg.kaiser_beta) * up
 
@@ -147,13 +262,27 @@ def resample(wf: Waveform, target_rate: int, cfg: ResampleConfig | None = None) 
     if pad:
         taps = np.concatenate([np.zeros(pad), taps])
         n_half += pad
+    taps.flags.writeable = False
+    return taps, up, down, n_half // down
+
+
+def resample(wf: Waveform, target_rate: int, cfg: ResampleConfig | None = None) -> Waveform:
+    """Polyphase windowed-sinc resampling to target_rate: ceil(n * up / down)
+    samples for n input samples."""
+    from scipy.signal import upfirdn
+
+    if target_rate <= 0:
+        raise InvalidArgumentError("target_rate must be positive")
+    cfg = cfg or ResampleConfig()
+    if target_rate == wf.rate:
+        return Waveform(wf.samples.copy(), wf.rate)
+
+    taps, up, down, skip = _resample_plan(wf.rate, target_rate, cfg)
     out = upfirdn(taps, wf.samples, up=up, down=down)
-    skip = n_half // down
+    # n_half >= filter_half_width * max(up, down) / rolloff >= up + 2 * down,
+    # so upfirdn's output always holds skip + out_len samples.
     out_len = -(-len(wf.samples) * up // down)  # ceil
-    out = out[skip : skip + out_len]
-    if out.size < out_len:
-        out = np.pad(out, (0, out_len - out.size))
-    return Waveform(out, target_rate)
+    return Waveform(out[skip : skip + out_len], target_rate)
 
 
 def degrade(wf: Waveform, low_rate: int, cfg: ResampleConfig | None = None) -> Waveform:

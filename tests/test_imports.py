@@ -1,15 +1,18 @@
-"""Import budget: `import bwetools` and the CLI load no heavy scipy
-submodule until a call needs it. Each check runs in a fresh interpreter."""
+"""Import budget: `import bwetools`, the CLI, `netinfo`, the STFT and every
+extractor but MRLD load no scipy module at all; resampling loads
+`scipy.signal` when called. Each check runs in a fresh interpreter."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import bwetools
+from bwetools import demo, signal
 
 SRC = str(Path(bwetools.__file__).resolve().parents[1])
-HEAVY = ("scipy.signal", "scipy.spatial", "scipy.io")
 SUBMODULES = ("cli", "demo", "featmaps", "metrics", "netshape", "nld", "signal", "spectral")
 
 
@@ -21,26 +24,50 @@ def run_python(*args, cwd=None):
     )
 
 
-def heavy_loaded_after(code):
-    """The HEAVY modules in sys.modules after running `code` in a fresh interpreter."""
-    probe = f"{code}\nimport sys\nprint('LOADED', *[m for m in {HEAVY!r} if m in sys.modules])"
+def scipy_loaded_after(code):
+    """The scipy modules in sys.modules after running `code` in a fresh interpreter."""
+    probe = f"{code}\nimport sys\nprint('LOADED', *[m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split()[1:]
 
 
 def test_package_and_cli_import_load_no_heavy_scipy():
-    assert heavy_loaded_after("import bwetools, bwetools.cli") == []
+    assert scipy_loaded_after("import bwetools, bwetools.cli") == []
 
 
 def test_netinfo_and_stft_leave_scipy_signal_unloaded():
-    loaded = heavy_loaded_after(
+    loaded = scipy_loaded_after(
         "import numpy as np\n"
         "from bwetools import Waveform, cli, spectral\n"
         "assert cli.main(['netinfo', 'mrld']) == 0\n"
         "spectral.stft(Waveform(np.zeros(4096), 16000))"
     )
-    assert "scipy.signal" not in loaded
+    assert loaded == []
+
+
+@pytest.fixture(scope="module")
+def wav_pair(tmp_path_factory):
+    """A float32 and a PCM16 WAV of one 0.5 s 16 kHz clip."""
+    wf = demo.synthetic_speech(duration=0.5, rate=16000, seed=3)
+    paths = {enc: tmp_path_factory.mktemp("wav") / f"clip.{enc}.wav" for enc in ("float32", "pcm16")}
+    for enc, path in paths.items():
+        signal.save_wav(path, wf, enc)
+    return paths
+
+
+@pytest.mark.parametrize("extractor", ["poincare", "rp", "msdfa", "mrad_mrpd"])
+@pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+def test_features_without_mrld_load_no_scipy(tmp_path, wav_pair, extractor, encoding):
+    argv = ["features", str(wav_pair[encoding]), extractor, str(tmp_path)]
+    assert scipy_loaded_after(f"from bwetools import cli\nassert cli.main({argv!r}) == 0") == []
+
+
+def test_resampling_loads_scipy_signal_not_scipy_io(tmp_path, wav_pair):
+    argv = ["degrade", str(wav_pair["float32"]), "8000", str(tmp_path / "out.wav")]
+    loaded = scipy_loaded_after(f"from bwetools import cli\nassert cli.main({argv!r}) == 0")
+    assert "scipy.signal" in loaded
+    assert "scipy.io" not in loaded
 
 
 def test_module_run_writes_nothing_to_stderr(tmp_path):

@@ -1,6 +1,11 @@
+import os
+import struct
+import threading
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
 
@@ -12,12 +17,115 @@ from bwetools.errors import (
 from bwetools.signal import (
     ResampleConfig,
     Waveform,
+    _resample_plan,
     degrade,
     frame,
     load_wav,
     resample,
     save_wav,
 )
+
+
+def reference_load_wav(path) -> Waveform:
+    """load_wav as it was on scipy.io.wavfile, the oracle for the numpy reader.
+
+    One line differs: the samples are brought to native byte order before the
+    dtype check. Without it every RIFX file was rejected, since
+    np.dtype(">i2") != np.int16; the numpy reader reads RIFX."""
+    try:
+        with open(path, "rb") as fh:
+            rate, data = wavfile.read(fh)
+    except FileNotFoundError as exc:
+        raise UnreadableFileError(f"cannot open {path!r}: {exc}") from exc
+    except PermissionError as exc:
+        raise UnreadableFileError(f"cannot open {path!r}: {exc}") from exc
+    except Exception as exc:  # malformed RIFF, unsupported chunk layout
+        raise UnsupportedEncodingError(f"unsupported encoding in {path!r}: {exc}") from exc
+
+    data = data.astype(data.dtype.newbyteorder("="))
+    if data.dtype == np.int16:
+        samples = data.astype(np.float64) / 32768.0
+    elif data.dtype == np.float32:
+        samples = data.astype(np.float64)
+    else:
+        raise UnsupportedEncodingError(
+            f"unsupported sample format {data.dtype} in {path!r} (want int16 or float32)"
+        )
+    if samples.ndim == 2:
+        samples = samples.mean(axis=1)
+    return Waveform(samples, int(rate))
+
+
+# (format tag, container bytes, bits per sample): the two supported encodings
+# first, then rejected ones: uint8, int32, float64 and packed 24-bit PCM
+ENCODINGS = [(1, 2, 16), (3, 4, 32), (1, 1, 8), (1, 4, 32), (3, 8, 64), (1, 3, 24)]
+GUID_TAIL = b"\x80\x00\x00\xaa\x00\x38\x9b\x71"
+
+
+def riff_chunk(e, cid, payload):
+    return cid + struct.pack(e + "I", len(payload)) + payload + b"\0" * (len(payload) % 2)
+
+
+@st.composite
+def wav_files(draw):
+    """(file bytes, frame-aligned end): a WAV file over container, fmt layout,
+    encoding, channels, frames and extra chunks, perhaps cut at any byte. The
+    aligned end is where the cut would fall if it dropped its partial frame."""
+    container = draw(st.sampled_from([b"RIFF", b"RIFX", b"RF64"]))
+    e = ">" if container == b"RIFX" else "<"
+    tag, width, bits = draw(st.sampled_from(ENCODINGS[:2]) | st.sampled_from(ENCODINGS))
+    channels = draw(st.integers(1, 4))
+    rate = draw(st.sampled_from([0, 8000, 16000, 44100, 48000]))
+    align = channels * width
+    header = (channels, rate, rate * align, align, bits)
+    if draw(st.booleans()):  # EXTENSIBLE, with the subformat GUID
+        guid = struct.pack(e + "IHH", tag, 0, 0x10) + GUID_TAIL
+        fmt = struct.pack(e + "HHIIHHHHI", 0xFFFE, *header, 22, bits, 0) + guid
+    else:
+        fmt = struct.pack(e + "HHIIHH", tag, *header) + (b"\0\0" if tag == 3 else b"")
+    extra = st.lists(
+        st.tuples(
+            st.sampled_from([b"LIST", b"JUNK", b"fact", b"Fake", b"abcd"]),
+            st.binary(max_size=9),
+        ),
+        max_size=2,
+    )
+    before, after = draw(extra), draw(extra)
+    frames = draw(st.integers(0, 40))
+    data = draw(st.binary(min_size=frames * align, max_size=frames * align))
+
+    body = riff_chunk(e, b"fmt ", fmt)
+    body += b"".join(riff_chunk(e, cid, payload) for cid, payload in before)
+    data_size = len(data) if container != b"RF64" else 0xFFFFFFFF
+    data_start = len(body) + 8
+    body += b"data" + struct.pack(e + "I", data_size) + data + b"\0" * (len(data) % 2)
+    body += b"".join(riff_chunk(e, cid, payload) for cid, payload in after)
+    if container == b"RF64":
+        ds64 = struct.pack("<QQQI", 40 + len(body), len(data), frames, 0)
+        head = b"RF64\xff\xff\xff\xffWAVE" + riff_chunk("<", b"ds64", ds64)
+    else:
+        head = container + struct.pack(e + "I", 4 + len(body)) + b"WAVE"
+    blob = head + body
+    data_start += len(head)
+
+    cut = draw(st.none() | st.integers(0, len(blob)))
+    if cut is None:
+        return blob, len(blob)
+    aligned = cut
+    if data_start < cut < data_start + len(data):
+        aligned = data_start + (cut - data_start) // align * align
+    return blob[:cut], aligned
+
+
+def outcome(load, path):
+    """(rate, sample bytes) of a load, or the bwetools error class it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            wf = load(path)
+        except (InvalidArgumentError, UnreadableFileError, UnsupportedEncodingError) as exc:
+            return type(exc)
+    return wf.rate, wf.samples.tobytes()
 
 
 def sine(freq, rate, n):
@@ -56,6 +164,89 @@ class TestLoadWav:
         back = load_wav(path)
         assert back.rate == 48000
         assert np.allclose(back.samples, wf.samples, atol=1e-6)
+
+    def test_directory_is_unreadable(self, tmp_path):
+        with pytest.raises(UnreadableFileError):
+            load_wav(tmp_path)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_a_pipe(self, tmp_path):
+        path, fifo = tmp_path / "x.wav", tmp_path / "fifo"
+        save_wav(path, Waveform(np.linspace(-0.5, 0.5, 64), 8000), "pcm16")
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        wf = load_wav(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        np.testing.assert_array_equal(wf.samples, load_wav(path).samples)
+
+    def test_unknown_format_tag_is_unsupported(self, tmp_path):
+        path = tmp_path / "x.wav"
+        save_wav(path, Waveform(np.zeros(4), 8000), "pcm16")
+        blob = bytearray(path.read_bytes())
+        blob[20:22] = struct.pack("<H", 7)  # mu-law
+        path.write_bytes(bytes(blob))
+        with pytest.raises(UnsupportedEncodingError):
+            load_wav(path)
+
+    def test_rifx_pcm16(self, tmp_path):
+        path = tmp_path / "x.wav"
+        fmt = struct.pack(">HHIIHH", 1, 1, 8000, 16000, 2, 16)
+        data = np.array([1, -2, 16384], ">i2").tobytes()
+        body = riff_chunk(">", b"fmt ", fmt) + riff_chunk(">", b"data", data)
+        path.write_bytes(b"RIFX" + struct.pack(">I", 4 + len(body)) + b"WAVE" + body)
+        wf = load_wav(path)
+        assert wf.rate == 8000
+        np.testing.assert_array_equal(wf.samples * 32768, [1, -2, 16384])
+
+    def test_cut_data_keeps_whole_frames_and_warns(self, tmp_path):
+        path = tmp_path / "x.wav"
+        c = np.arange(1, 11, dtype=np.float32)
+        wavfile.write(path, 16000, np.stack([c, -2 * c], axis=1))
+        path.write_bytes(path.read_bytes()[:-12])  # the last frame and half the one before
+        with pytest.warns(UserWarning, match="8 of 10 frames"):
+            wf = load_wav(path)
+        np.testing.assert_array_equal(wf.samples, -c[:8] / 2)
+
+    @given(wav=wav_files())
+    @settings(
+        max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_matches_scipy_reader(self, tmp_path, wav):
+        # a cut inside a frame: the numpy reader keeps the whole frames, where
+        # scipy fails to reshape unless the cut falls in the frame's first sample
+        blob, aligned = wav
+        path, ref_path = tmp_path / "x.wav", tmp_path / "ref.wav"
+        path.write_bytes(blob)
+        ref_path.write_bytes(blob[:aligned])
+        assert outcome(load_wav, path) == outcome(reference_load_wav, ref_path)
+
+
+class TestSaveWav:
+    @given(
+        samples=st.lists(st.floats(-1.5, 1.5), max_size=50),
+        rate=st.sampled_from([1, 8000, 44100, 48000]),
+        encoding=st.sampled_from(["float32", "pcm16"]),
+    )
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_bytes_match_scipy_writer(self, tmp_path, samples, rate, encoding):
+        wf = Waveform(np.array(samples), rate)
+        if encoding == "float32":
+            data = wf.samples.astype(np.float32)
+        else:
+            data = np.round(np.clip(wf.samples, -1.0, 32767 / 32768) * 32768).astype(np.int16)
+        wavfile.write(tmp_path / "ref.wav", rate, data)
+        save_wav(tmp_path / "x.wav", wf, encoding)
+        ours = (tmp_path / "x.wav").read_bytes()
+        assert ours == (tmp_path / "ref.wav").read_bytes()
+        assert len(ours) - data.nbytes == (58 if encoding == "float32" else 44)
+
+    def test_unknown_encoding(self, tmp_path):
+        with pytest.raises(InvalidArgumentError):
+            save_wav(tmp_path / "x.wav", Waveform(np.zeros(4), 8000), "pcm24")
 
 
 class TestResample:
@@ -102,6 +293,32 @@ class TestResample:
     def test_bad_target_rate(self):
         with pytest.raises(InvalidArgumentError):
             resample(Waveform(np.zeros(10), 48000), 0)
+
+    @given(
+        n=st.integers(1, 3000),
+        rates=st.lists(
+            st.sampled_from([7999, 8000, 10000, 11025, 16000, 22050, 44100, 48000]),
+            min_size=2,
+            max_size=2,
+            unique=True,
+        ),
+        cfg=st.sampled_from([ResampleConfig(), ResampleConfig(filter_half_width=8, rolloff=1.0)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_length_is_ceil_of_ratio(self, n, rates, cfg):
+        rate, target = rates
+        wf = Waveform(np.random.default_rng(n).standard_normal(n), rate)
+        assert len(resample(wf, target, cfg)) == -(-n * target // rate)  # ceil
+
+    def test_plan_designed_once_per_rate_pair(self):
+        _resample_plan.cache_clear()
+        wf = Waveform(np.random.default_rng(3).standard_normal(500), 48000)
+        first = resample(wf, 16000)
+        second = resample(wf, 16000)
+        assert _resample_plan.cache_info().misses == 1
+        np.testing.assert_array_equal(first.samples, second.samples)
+        taps = _resample_plan(48000, 16000, ResampleConfig())[0]
+        assert not taps.flags.writeable
 
 
 class TestDegrade:
