@@ -7,6 +7,7 @@ spectrum). Magnitude is natural-log with an additive floor; phase lives in
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -46,7 +47,14 @@ def _is_cola(win: np.ndarray, hop: int) -> bool:
     binsums = sum(win[i * hop : (i + 1) * hop] for i in range(n // hop))
     if n % hop:
         binsums[: n % hop] += win[-(n % hop) :]
-    return bool(np.max(np.abs(binsums - np.median(binsums))) < 1e-10)
+    return bool(np.max(np.abs(binsums - _median(binsums))) < 1e-10)
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a 1-D array, without the numpy.ma import np.median makes."""
+    ordered = np.sort(values)
+    k = ordered.size // 2
+    return ordered[k] if ordered.size % 2 else (ordered[k - 1] + ordered[k]) / 2
 
 
 @dataclass(frozen=True)
@@ -194,9 +202,129 @@ def synthesize(mp: MagPhase) -> ComplexSpectrogram:
     return ComplexSpectrogram(data, mp.config, mp.n_samples)
 
 
+# CSV cells are "%.9g" texts. Most are spelled in numpy. A value with decimal
+# exponent x in [-14, 30] is scaled into [1e8, 1e9) by an exact power of ten in
+# one rounding (error at most 2**-24 there), so its 9 significant digits m are
+# np.rint of the scaled value, unless that lies within 1e-6 of a half. Zeros
+# are spelled as m = 0 at x = 0. Ties, non-finite and out-of-range values go
+# through Python's "%.9g", once per distinct value.
+#
+# Every cell is first written into one 32-byte row holding all the characters
+# any layout may need, in order: "-0.000", then the digits d0..d8 each followed
+# by a ".", then "e", the exponent's sign and two digits, and the delimiter.
+# A mask, looked up by layout, keeps the characters of the cell's text.
+_X_MIN, _X_MAX = -14, 31  # exponents spelled in numpy (31 only after rounding up)
+_ROW = 32
+_CSV_CHUNK = 1 << 12  # values per pass: temporaries stay in cache, and the heap stays small
+
+
+def _g9_mask(neg: bool, x: int, t: int) -> np.ndarray:
+    """Row bytes spelling "%.9g" of digits d0..d8 (last nonzero at t) times
+    10**(x - 8), then the delimiter."""
+    keep = np.zeros(_ROW, dtype=bool)
+    keep[0] = neg
+    keep[[6 + 2 * j for j in range(max(t, x if x < 9 else 0) + 1)]] = True
+    if 0 <= x < 9:
+        keep[7 + 2 * x] = t > x
+    elif -4 <= x < 0:
+        keep[1 : 2 - x] = True  # "0." and -x - 1 zeros
+    else:
+        keep[7] = t > 0
+        keep[24:28] = True
+    keep[28] = True
+    return keep
+
+
+@functools.cache
+def _g9_tables():
+    """Exact multiplier and divisor taking exponent x to [1e8, 1e9); four
+    digits of 0..9999 as "d.d.d.d." in one little-endian uint64 and their
+    trailing zero count; "e", sign and two digits of every exponent; and the
+    mask of every layout, indexed by (neg * n_x + x - _X_MIN) * 9 + t."""
+    exponents = range(_X_MIN, _X_MAX + 1)
+    mul = np.array([float(10 ** max(8 - x, 0)) for x in exponents])
+    div = np.array([float(10 ** max(x - 8, 0)) for x in exponents])
+    i = np.arange(10000, dtype=np.uint64)
+    four = sum((i // 10 ** (3 - j) % 10 + (ord("0") | ord(".") << 8)) << (16 * j) for j in range(4))
+    trailing = sum(i % 10**j == 0 for j in range(1, 5))
+    suffix = np.array([int.from_bytes(b"e%+03d" % x, "little") for x in exponents], dtype=np.uint64)
+    masks = np.array(
+        [_g9_mask(neg, x, t) for neg in (False, True) for x in exponents for t in range(9)]
+    )
+    # one opaque 32-byte item per layout, so a lookup copies whole rows
+    masks = masks.view(np.dtype((np.void, _ROW))).ravel()
+    tables = mul, div, four.astype("<u8"), trailing, suffix, masks
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _g9_cells(x: np.ndarray, delims: np.ndarray) -> bytes:
+    """'%.9g' % v followed by its delimiter, for every v in the 1-D float64 x."""
+    mul, div, four, trailing, suffix, masks = _g9_tables()
+    a = np.abs(x)
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(a))
+        ok = (e >= _X_MIN) & (e < _X_MAX)  # False for 0, inf and nan
+        e = np.where(ok, e, 0).astype(np.intp) - _X_MIN  # from here on, x - _X_MIN
+        s = a * mul[e] / div[e]
+        m = np.rint(s)
+        # the range test also catches log10 missing the exponent next to a power of ten
+        ok &= (s >= 1e8) & (s < 1e9) & (np.abs(s - m) < 0.499999)
+    zero = a == 0  # spelled "0" or "-0" from m = 0 at x = 0
+    e[zero] = -_X_MIN
+    ok |= zero
+    m = np.where(ok, m, 1e8).astype(np.uint64)
+    m[zero] = 0
+    carry = m == 1_000_000_000
+    m[carry] = 100_000_000
+    e += carry
+    head, low = np.divmod(m, 10000)
+    d0, mid = np.divmod(head, 10000)
+    t = 8 - trailing[low]
+    whole = np.flatnonzero(low == 0)
+    t[whole] = 4 - trailing[mid[whole]]
+
+    rows = np.empty((x.size, _ROW // 8), dtype="<u8")
+    rows[:, 0] = int.from_bytes(b"-0.000\0.", "little") | (d0 + ord("0")) << 48
+    rows[:, 1] = four[mid]
+    rows[:, 2] = four[low]
+    rows[:, 3] = suffix[e] | delims.astype(np.uint64) << 32
+    key = (np.signbit(x) * (_X_MAX - _X_MIN + 1) + e) * 9 + t
+    keep = np.take(masks, key).view(bool).reshape(x.size, _ROW)
+    rest = np.flatnonzero(~ok)
+    if rest.size:
+        bits, inverse = np.unique(x[rest].view(np.uint64), return_inverse=True)
+        texts = [b"%.9g" % v for v in bits.view(np.float64).tolist()]
+        table = np.zeros((len(texts), _ROW), dtype=np.uint8)
+        for j, text in enumerate(texts):
+            table[j, : len(text)] = np.frombuffer(text, dtype=np.uint8)
+        n = np.array([len(text) for text in texts])[inverse]
+        cells = table[inverse]
+        cells[np.arange(rest.size), n] = delims[rest]
+        rows.view(np.uint8).reshape(x.size, _ROW)[rest] = cells
+        keep[rest] = np.arange(_ROW) <= n[:, None]
+    return np.compress(keep.ravel(), rows.view(np.uint8)).tobytes()
+
+
 def write_csv(path, grid: np.ndarray) -> None:
-    """Export a real F x T grid: one CSV row per frequency bin."""
-    np.savetxt(path, np.asarray(grid, dtype=np.float64), delimiter=",", fmt="%.9g")
+    """Export a real F x T grid: one CSV row per frequency bin, each value as
+    "%.9g" (the bytes np.savetxt(path, grid, delimiter=",", fmt="%.9g") writes)."""
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim == 1:
+        grid = grid[:, None]
+    if grid.ndim != 2:
+        raise InvalidArgumentError(f"expected a 1-D or 2-D grid, got {grid.ndim}-D")
+    flat = grid.ravel()
+    with open(path, "wb") as fh:
+        if flat.size == 0:
+            fh.write(b"\n" * grid.shape[0])
+            return
+        width = grid.shape[1]
+        for start in range(0, flat.size, _CSV_CHUNK):
+            stop = min(start + _CSV_CHUNK, flat.size)
+            ends = np.arange(start + 1, stop + 1) % width == 0
+            fh.write(_g9_cells(flat[start:stop], np.where(ends, ord("\n"), ord(","))))
 
 
 def write_f32(path, grid: np.ndarray) -> None:

@@ -1,6 +1,8 @@
+import io
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.signal import check_COLA
 from scipy.signal.windows import hann
@@ -20,7 +22,7 @@ from bwetools.spectral import (
     write_csv,
     write_f32,
 )
-from bwetools.spectral import _hann, _is_cola
+from bwetools.spectral import _CSV_CHUNK, _hann, _is_cola, _median
 
 
 class TestStftConfig:
@@ -42,6 +44,11 @@ class TestWindowOracle:
     def test_hann_bit_identical(self):
         for m in range(1, 4097):
             assert np.array_equal(_hann(m), hann(m, sym=False)), m
+
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=40))
+    def test_median_bit_identical(self, values):
+        values = np.array(values)
+        assert _median(values) == np.median(values)
 
     def test_cola_verdict_matches(self):
         for win_length in range(1, 301):
@@ -239,3 +246,90 @@ class TestExport:
         write_csv(path, grid)
         back = np.loadtxt(path, delimiter=",")
         np.testing.assert_allclose(back, grid)
+
+
+def savetxt_bytes(grid) -> bytes:
+    """The reference: np.savetxt's bytes for the same grid."""
+    buf = io.BytesIO()
+    np.savetxt(buf, np.asarray(grid, dtype=np.float64), delimiter=",", fmt="%.9g")
+    return buf.getvalue()
+
+
+def csv_bytes(tmp_path, grid) -> bytes:
+    path = tmp_path / "grid.csv"
+    write_csv(path, grid)
+    return path.read_bytes()
+
+
+def decimal_edges() -> np.ndarray:
+    """Powers of ten and their neighbours, exact 9- and 10-digit ties and
+    values that round up to the next power, at every exponent."""
+    powers = 10.0 ** np.arange(-30, 40)
+    edges = [
+        powers,
+        np.nextafter(powers, 0),
+        np.nextafter(powers, np.inf),
+        powers * 9.9999999949,
+        powers * 9.999999995,
+        powers * 9.9999999951,
+        powers * 0.99999999950000,
+    ]
+    ties = (np.arange(100_000_000, 100_000_000 + 50) + 0.5)[:, None] * 10.0 ** np.arange(-12, 12)
+    specials = [0.0, np.nan, np.inf, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    values = np.concatenate([*edges, ties.ravel(), specials, [-0.5, 0.5, 1.5, 2.5, 1e-4, 1e-5]])
+    return np.concatenate([values, -values])
+
+
+_cell_values = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, width=64),
+    st.floats(-40.0, 40.0),
+    st.builds(lambda m, k: m * 10.0**k, st.integers(10**8, 10**10), st.integers(-25, 25)),
+    st.builds(lambda m, k: (m + 0.5) * 10.0**k, st.integers(10**8, 10**9 - 1), st.integers(-14, 14)),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-4, 9.9999999995e8, 1e9, 1e31, 5e-324]),
+)
+
+
+class TestCsvText:
+    """write_csv writes the bytes np.savetxt(..., delimiter=",", fmt="%.9g") does."""
+
+    @settings(
+        max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        st.integers(0, 6).flatmap(
+            lambda cols: st.lists(st.lists(_cell_values, min_size=cols, max_size=cols), max_size=6)
+        )
+    )
+    def test_matches_savetxt(self, tmp_path, rows):
+        grid = np.array(rows, dtype=np.float64).reshape(len(rows), -1 if rows else 0)
+        assert csv_bytes(tmp_path, grid) == savetxt_bytes(grid)
+
+    def test_decimal_edges(self, tmp_path):
+        values = decimal_edges()
+        assert csv_bytes(tmp_path, values.reshape(-1, 2)) == savetxt_bytes(values.reshape(-1, 2))
+
+    def test_every_exponent_and_bit_pattern(self, tmp_path):
+        # rows wider than one chunk and not dividing it, so delimiters cross chunk borders
+        rng = np.random.default_rng(0)
+        shape = (6, _CSV_CHUNK // 2 + 3)
+        n = shape[0] * shape[1]
+        bits = rng.integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+        scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 35, n)
+        places = 10.0 ** rng.integers(0, 9, n)
+        short = np.round(rng.standard_normal(n) * places) / places
+        for values in (bits, scaled, short):
+            grid = values.reshape(shape)
+            assert csv_bytes(tmp_path, grid) == savetxt_bytes(grid)
+
+    def test_spectrogram_grids(self, tmp_path):
+        rng = np.random.default_rng(1)
+        cfg = StftConfig(n_fft=256, win_length=256, hop=64)
+        mp = to_mag_phase(stft(Waveform(rng.standard_normal(8000), 16000), cfg))
+        for grid in (mp.mag, mp.phase, np.zeros((3, 5)), -np.zeros((2, 2)), np.eye(7)):
+            assert csv_bytes(tmp_path, grid) == savetxt_bytes(grid)
+
+    def test_shapes(self, tmp_path):
+        for grid in (np.zeros((0, 4)), np.zeros((3, 0)), np.arange(5.0), np.array([[2.5]])):
+            assert csv_bytes(tmp_path, grid) == savetxt_bytes(grid)
+        with pytest.raises(InvalidArgumentError):
+            write_csv(tmp_path / "cube.csv", np.zeros((2, 2, 2)))
