@@ -3,8 +3,8 @@ transforms, nonlinear-dynamics feature extractors, objective speech metrics,
 and network shape verification.
 
 Submodules load on first attribute access (`bwetools.nld`, ...), so
-`import bwetools` costs only numpy; scipy loads inside the functions that
-call it.
+`import bwetools` costs only numpy. WAV I/O and resampling are numpy; scipy
+is loaded only by the Lyapunov neighbor search (MRLD), for `cdist`.
 """
 
 import importlib

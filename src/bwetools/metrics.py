@@ -74,10 +74,16 @@ def lsd(ref: Waveform, est: Waveform) -> float:
     return float(np.mean(np.sqrt(np.mean(diff**2, axis=0))))
 
 
+def _unit_peak(x: np.ndarray) -> np.ndarray:
+    """x scaled by a power of two to a peak in [0.5, 1), exactly; all-zero x
+    unchanged."""
+    return np.ldexp(x, -peak_exponent(x))
+
+
 def _si_ratio(ref: np.ndarray, est: np.ndarray) -> float:
     # each signal's peak scaled into [0.5, 1), so 1e200 does not overflow the dot products
-    ref = np.ldexp(ref, -peak_exponent(ref))
-    est = np.ldexp(est, -peak_exponent(est))
+    ref = _unit_peak(ref)
+    est = _unit_peak(est)
     denom = float(ref @ ref)
     if denom == 0.0:
         raise InvalidArgumentError("reference signal is all zero")
@@ -132,6 +138,11 @@ def stoi(ref: Waveform, est: Waveform) -> float:
     after scaling and clipping the estimate at the -15 dB SDR bound. Bands
     where either envelope is flat over a segment give no correlation; when
     none is left (e.g. an all-zero estimate) the score is 0.0.
+
+    Each signal is first scaled by a power of two to a peak in [0.5, 1), so
+    scaling either input by 2**k gives exactly the same score, and the two
+    1e-12 floors (on the estimate's envelope norm and on the correlation
+    denominator) act on those peak-normalised signals.
     """
     c = STOI_CONFIG
     if ref.rate != est.rate:
@@ -140,9 +151,11 @@ def stoi(ref: Waveform, est: Waveform) -> float:
         raise InvalidArgumentError(f"stoi needs rate >= {c['rate']} Hz")
     if min(ref.duration, est.duration) < 0.4:
         raise InvalidArgumentError("stoi needs at least 0.4 s of audio")
+    # each signal's peak scaled into [0.5, 1), so 1e200 or 1e-200 neither
+    # overflows nor underflows the band powers
     rs_cfg = ResampleConfig()
-    x = resample(ref, c["rate"], rs_cfg).samples
-    y = resample(est, c["rate"], rs_cfg).samples
+    x = resample(Waveform(_unit_peak(ref.samples), ref.rate), c["rate"], rs_cfg).samples
+    y = resample(Waveform(_unit_peak(est.samples), est.rate), c["rate"], rs_cfg).samples
     n = min(x.size, y.size)
     x, y = x[:n], y[:n]
 

@@ -232,57 +232,102 @@ def save_wav(path, wf: Waveform, encoding: str = "float32") -> None:
         fh.write(data)
 
 
+def _kaiser(m: int, beta: float) -> np.ndarray:
+    """np.kaiser(m, beta) for m >= 2, array_equal to it: the window is exactly
+    symmetric, so np.i0, most of the design time of a long filter, runs on
+    half of it."""
+    alpha = (m - 1) / 2.0
+    n = np.arange((m + 1) // 2, dtype=np.float64)
+    half = np.i0(beta * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / np.i0(float(beta))
+    return np.concatenate([half, half[: m // 2][::-1]])
+
+
 def _design_lowpass(cutoff: float, half_width: int, beta: float) -> np.ndarray:
     """Kaiser-windowed sinc with `half_width` zero crossings per side.
 
     cutoff is in units of the (post-upsampling) Nyquist frequency.
     """
-    from scipy.signal.windows import kaiser
-
     n_half = int(math.ceil(half_width / cutoff))
     n = np.arange(-n_half, n_half + 1, dtype=np.float64)
-    taps = cutoff * np.sinc(cutoff * n) * kaiser(2 * n_half + 1, beta)
+    taps = cutoff * np.sinc(cutoff * n) * _kaiser(2 * n_half + 1, beta)
     return taps / taps.sum()
 
 
-@functools.lru_cache(maxsize=16)
-def _resample_plan(rate_in: int, rate_out: int, cfg: ResampleConfig) -> tuple:
-    """(taps, up, down, skip) for rate_in -> rate_out Hz; the read-only taps
-    are shared by every call at that rate pair and config."""
+def _polyphase_taps(rate_in: int, rate_out: int, cfg: ResampleConfig) -> tuple:
+    """(taps, up, down) for rate_in -> rate_out Hz: the odd-length lowpass,
+    centred on its middle tap and scaled by up, that `resample` applies to the
+    input upsampled by up before keeping every down-th sample."""
     g = math.gcd(rate_in, rate_out)
     up = rate_out // g
     down = rate_in // g
     cutoff = cfg.rolloff * min(1.0 / up, 1.0 / down)
-    taps = _design_lowpass(cutoff, cfg.filter_half_width, cfg.kaiser_beta) * up
+    return _design_lowpass(cutoff, cfg.filter_half_width, cfg.kaiser_beta) * up, up, down
 
-    # Shift the filter center onto the output grid so output sample k sits
-    # exactly at input time k*down/up.
+
+@functools.lru_cache(maxsize=16)
+def _resample_plan(rate_in: int, rate_out: int, cfg: ResampleConfig) -> tuple:
+    """(U, D, left, right, blocks) for rate_in -> rate_out Hz, shared by every
+    call at that rate pair and config.
+
+    Output sample U*m + r (phase r < U) is sum_j x[D*m + j]*taps[N + r*down
+    - j*up], N the centre tap and D = U*down/up. A block (r0, j_lo, bank)
+    covers phases r0 <= r < r0 + B, and its read-only (S, B) bank holds their
+    taps for j_lo <= j < j_lo + S. B is about len(taps)/down, so S stays
+    within about twice the len(taps)/up taps of one phase; U = k*up is the
+    fewest phases for which D >= every S, so each block is one matmul over
+    input rows D apart. All blocks read within -left <= j < right.
+    """
+    taps, up, down = _polyphase_taps(rate_in, rate_out, cfg)
     n_half = (len(taps) - 1) // 2
-    pad = (-n_half) % down
-    if pad:
-        taps = np.concatenate([np.zeros(pad), taps])
-        n_half += pad
-    taps.flags.writeable = False
-    return taps, up, down, n_half // down
+    width = max(1, len(taps) // down)
+    span = ((width - 1) * down + 2 * n_half) // up + 1  # the widest S
+    k = -(-span // down)
+    U, D = up * k, down * k
+    width = -(-U // -(-U // width))  # as many blocks, evened out
+    padded = np.concatenate([[0.0], taps, [0.0]])  # clipped indices fall on a zero
+    blocks = []
+    for r0 in range(0, U, width):
+        r = np.arange(r0, min(r0 + width, U))
+        j_lo = -((n_half - r0 * down) // up)  # ceil((r0*down - N) / up)
+        j = np.arange(j_lo, (r[-1] * down + n_half) // up + 1)
+        bank = padded.take((r * down + n_half + 1) - j[:, None] * up, mode="clip")
+        bank.flags.writeable = False
+        blocks.append((r0, j_lo, bank))
+    return U, D, n_half // up, ((U - 1) * down + n_half) // up + 1, tuple(blocks)
 
 
 def resample(wf: Waveform, target_rate: int, cfg: ResampleConfig | None = None) -> Waveform:
     """Polyphase windowed-sinc resampling to target_rate: ceil(n * up / down)
-    samples for n input samples."""
-    from scipy.signal import upfirdn
+    samples for n input samples.
 
+    The output is laid out as M rows of U phases, and each block of phases is
+    one BLAS matmul of a sliding-window view of the zero-padded input (rows D
+    apart, at most D wide, so no window is copied) with the plan's bank. It
+    sums the products scipy.signal.upfirdn sums with the same taps, in
+    another order, so with n taps per phase (n <= len(taps) // up + 1) the two
+    differ by at most 2*gamma_n*max|x|*max_r sum|bank[:, r]|, where gamma_n =
+    n*u/(1 - n*u) and u = 2**-53. Repeated calls give identical results, and
+    scaling x by a power of two scales the output exactly unless a product
+    leaves the normal range; the last bits depend on the BLAS build and its
+    thread count.
+    """
     if target_rate <= 0:
         raise InvalidArgumentError("target_rate must be positive")
     cfg = cfg or ResampleConfig()
     if target_rate == wf.rate:
         return Waveform(wf.samples.copy(), wf.rate)
 
-    taps, up, down, skip = _resample_plan(wf.rate, target_rate, cfg)
-    out = upfirdn(taps, wf.samples, up=up, down=down)
-    # n_half >= filter_half_width * max(up, down) / rolloff >= up + 2 * down,
-    # so upfirdn's output always holds skip + out_len samples.
-    out_len = -(-len(wf.samples) * up // down)  # ceil
-    return Waveform(out[skip : skip + out_len], target_rate)
+    U, D, left, right, blocks = _resample_plan(wf.rate, target_rate, cfg)
+    n = len(wf.samples)
+    out_len = -(-n * target_rate // wf.rate)  # ceil
+    rows = -(-out_len // U)
+    x = np.zeros(left + max(n, max(rows - 1, 0) * D + right))
+    x[left : left + n] = wf.samples
+    out = np.empty((rows, U))
+    for r0, j_lo, bank in blocks:
+        view = sliding_window_view(x, bank.shape[0])[left + j_lo :: D][:rows]
+        np.matmul(view, bank, out=out[:, r0 : r0 + bank.shape[1]])
+    return Waveform(out.ravel()[:out_len], target_rate)
 
 
 def degrade(wf: Waveform, low_rate: int, cfg: ResampleConfig | None = None) -> Waveform:

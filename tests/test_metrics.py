@@ -154,6 +154,16 @@ class TestStoi:
             assert stoi(speech_clip, silent) == 0.0
             assert evaluate(speech_clip, silent).stoi == 0.0
 
+    @given(k=st.integers(-600, 600))
+    @settings(max_examples=30, deadline=None)
+    def test_power_of_two_scale_is_exact(self, k):
+        # at 2**600 the band powers used to overflow, at 2**-600 underflow
+        ref = synthetic_speech(duration=1.0, rate=16000, seed=4)
+        est = degrade(ref, 8000)
+        base = stoi(ref, est)
+        assert stoi(ref, Waveform(np.ldexp(est.samples, k), ref.rate)) == base
+        assert stoi(Waveform(np.ldexp(ref.samples, k), ref.rate), est) == base
+
     def test_preconditions(self, speech_clip):
         with pytest.raises(InvalidArgumentError):
             stoi(Waveform(np.ones(8000), 8000), Waveform(np.ones(8000), 8000))

@@ -1,3 +1,4 @@
+import functools
 import os
 import struct
 import threading
@@ -5,9 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.io import wavfile
+from scipy.signal import upfirdn
 
 from bwetools.errors import (
     InvalidArgumentError,
@@ -17,6 +19,8 @@ from bwetools.errors import (
 from bwetools.signal import (
     ResampleConfig,
     Waveform,
+    _kaiser,
+    _polyphase_taps,
     _resample_plan,
     degrade,
     frame,
@@ -126,6 +130,54 @@ def outcome(load, path):
         except (InvalidArgumentError, UnreadableFileError, UnsupportedEncodingError) as exc:
             return type(exc)
     return wf.rate, wf.samples.tobytes()
+
+
+@functools.lru_cache(maxsize=8)
+def oracle_taps(rate, target, cfg):
+    taps, up, down = _polyphase_taps(rate, target, cfg)
+    taps.flags.writeable = False
+    return taps, up, down
+
+
+def upfirdn_resample(x, rate, target, cfg):
+    """resample as it was on scipy.signal.upfirdn, with the same taps: the
+    oracle for the numpy filter bank."""
+    taps, up, down = oracle_taps(rate, target, cfg)
+    n_half = (len(taps) - 1) // 2
+    pad = (-n_half) % down  # puts the centre tap on the output grid
+    out = upfirdn(np.concatenate([np.zeros(pad), taps]), x, up=up, down=down)
+    skip = (n_half + pad) // down
+    return out[skip : skip + -(-len(x) * up // down)]
+
+
+def upfirdn_bound(x, rate, target, cfg):
+    """Largest |resample - upfirdn_resample| the arithmetic allows. Both sum
+    the same n products per output (n <= len(taps) // up + 1) in different
+    orders, and each is within gamma_n * sum|h*x| of the exact sum (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section 3.1), with
+    gamma_n = n*u / (1 - n*u), u = 2**-53 and sum|h*x| <= max|x| times the
+    largest column sum of |bank|."""
+    taps, up, _ = oracle_taps(rate, target, cfg)
+    n = len(taps) // up + 1
+    gamma = n * 2.0**-53 / (1 - n * 2.0**-53)
+    column = max(np.abs(bank).sum(axis=0).max() for *_, bank in _resample_plan(rate, target, cfg)[-1])
+    return 2 * gamma * np.abs(x).max() * column
+
+
+# rate pairs for the kernel properties: every corpus pair kind (integer up,
+# integer down, rational) plus coprime pairs whose filters have 2-3M taps
+KERNEL_PAIRS = [
+    (48000, 16000),
+    (16000, 48000),
+    (44100, 10000),
+    (8000, 44100),
+    (48000, 11025),
+    (22050, 16000),
+    (48000, 7999),
+    (7999, 48000),
+    (31997, 10000),
+]
+KERNEL_CONFIGS = [ResampleConfig(), ResampleConfig(filter_half_width=8, rolloff=1.0)]
 
 
 def sine(freq, rate, n):
@@ -295,7 +347,7 @@ class TestResample:
             resample(Waveform(np.zeros(10), 48000), 0)
 
     @given(
-        n=st.integers(1, 3000),
+        n=st.integers(0, 3000),
         rates=st.lists(
             st.sampled_from([7999, 8000, 10000, 11025, 16000, 22050, 44100, 48000]),
             min_size=2,
@@ -304,6 +356,7 @@ class TestResample:
         ),
         cfg=st.sampled_from([ResampleConfig(), ResampleConfig(filter_half_width=8, rolloff=1.0)]),
     )
+    @example(n=0, rates=[48000, 16000], cfg=ResampleConfig())
     @settings(max_examples=60, deadline=None)
     def test_length_is_ceil_of_ratio(self, n, rates, cfg):
         rate, target = rates
@@ -317,8 +370,49 @@ class TestResample:
         second = resample(wf, 16000)
         assert _resample_plan.cache_info().misses == 1
         np.testing.assert_array_equal(first.samples, second.samples)
-        taps = _resample_plan(48000, 16000, ResampleConfig())[0]
-        assert not taps.flags.writeable
+        blocks = _resample_plan(48000, 16000, ResampleConfig())[-1]
+        assert blocks and not any(bank.flags.writeable for *_, bank in blocks)
+
+    @given(
+        n=st.integers(1, 3000),
+        rates=st.sampled_from(KERNEL_PAIRS),
+        cfg=st.sampled_from(KERNEL_CONFIGS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_upfirdn_within_rounding_bound(self, n, rates, cfg, seed):
+        rate, target = rates
+        x = np.random.default_rng(seed).standard_normal(n)
+        got = resample(Waveform(x, rate), target, cfg).samples
+        want = upfirdn_resample(x, rate, target, cfg)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= upfirdn_bound(x, rate, target, cfg)
+
+    @given(
+        n=st.integers(1, 3000),
+        rates=st.sampled_from(KERNEL_PAIRS),
+        k=st.integers(-600, 600),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_power_of_two_scaling_and_repeats_are_exact(self, n, rates, k, seed):
+        rate, target = rates
+        x = np.random.default_rng(seed).standard_normal(n)
+        base = resample(Waveform(x, rate), target).samples
+        assert np.array_equal(resample(Waveform(x, rate), target).samples, base)
+        scaled = resample(Waveform(np.ldexp(x, k), rate), target).samples
+        assert np.array_equal(scaled, np.ldexp(base, k))
+
+    def test_bank_size_at_coprime_rate(self):
+        # one dense bank over all 7999 phases would hold about 4e8 values (3 GB)
+        taps = _polyphase_taps(48000, 7999, ResampleConfig())[0]
+        blocks = _resample_plan(48000, 7999, ResampleConfig())[-1]
+        assert sum(bank.size for *_, bank in blocks) <= 3 * len(taps)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 64, 205, 409, 10837, 100_000, 100_001])
+    @pytest.mark.parametrize("beta", [0.0, 8.6, 14.0])
+    def test_kaiser_is_numpy_kaiser(self, m, beta):
+        assert np.array_equal(_kaiser(m, beta), np.kaiser(m, beta))
 
 
 class TestDegrade:
