@@ -80,18 +80,23 @@ def cmd_degrade(args, cfg: dict) -> int:
     return EXIT_OK
 
 
+def _export(out_dir: Path, grids: dict, f32: bool = True) -> list[str]:
+    """Write each grid to <name>.csv, then <name>.f32 when f32 is set, in
+    order; returns the CSV file names."""
+    for name, grid in grids.items():
+        spectral.write_csv(out_dir / f"{name}.csv", grid)
+        if f32:
+            spectral.write_f32(out_dir / f"{name}.f32", grid)
+    return [f"{name}.csv" for name in grids]
+
+
 def _write_stack(stack: featmaps.FeatureMapStack, out_dir: Path, name: str) -> dict:
-    files = []
-    for c in range(stack.channels):
-        base = out_dir / f"{name}_ch{c}"
-        spectral.write_csv(base.with_suffix(".csv"), stack.data[c])
-        spectral.write_f32(base.with_suffix(".f32"), stack.data[c])
-        files.append(base.with_suffix(".csv").name)
+    grids = {f"{name}_ch{c}": stack.data[c] for c in range(stack.channels)}
     return {
         "extractor": name,
         "shape": list(stack.data.shape),
         "meta": stack.meta,
-        "files": files,
+        "files": _export(out_dir, grids),
     }
 
 
@@ -108,30 +113,24 @@ def _msdfa(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
 
 def _mrad_mrpd(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
     mr_cfg = featmaps.MultiResSpecConfig()
-    grids = featmaps.mrad_mrpd_features(wf, mr_cfg)
-    files = []
-    for r, mp in enumerate(grids):
-        for tag, grid in (("mag", mp.mag), ("phase", mp.phase)):
-            base = out_dir / f"mrad_mrpd_res{r}_{tag}"
-            spectral.write_csv(base.with_suffix(".csv"), grid)
-            spectral.write_f32(base.with_suffix(".f32"), grid)
-            files.append(base.with_suffix(".csv").name)
+    grids = {}
+    for r, mp in enumerate(featmaps.mrad_mrpd_features(wf, mr_cfg)):
+        grids[f"mrad_mrpd_res{r}_mag"] = mp.mag
+        grids[f"mrad_mrpd_res{r}_phase"] = mp.phase
     return {
         "extractor": "mrad_mrpd",
         "resolutions": featmaps.resolution_params(mr_cfg),
-        "files": files,
+        "files": _export(out_dir, grids),
     }
 
 
 def _rp(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
     plot = nld.recurrence_plot(wf.samples, _int_option(cfg, "max_size", 512))
-    base = out_dir / "recurrence"
-    spectral.write_csv(base.with_suffix(".csv"), plot.matrix)
     return {
         "extractor": "rp",
         "shape": list(plot.matrix.shape),
         "threshold": plot.threshold,
-        "files": [base.with_suffix(".csv").name],
+        "files": _export(out_dir, {"recurrence": plot.matrix}, f32=False),
     }
 
 

@@ -60,7 +60,6 @@ class MultiResSpecConfig:
     freq_bins: tuple = (512, 128, 512)
     hops: tuple = (1024, 256, 1024)
     win_lengths: tuple = (2048, 512, 2048)
-    eps_mag: float = 1e-5
 
     def __post_init__(self):
         if not (len(self.freq_bins) == len(self.hops) == len(self.win_lengths)):
@@ -178,7 +177,6 @@ def mrad_mrpd_features(wf: Waveform, cfg: MultiResSpecConfig | None = None) -> l
             n_fft=res["n_fft"],
             win_length=res["win_length"],
             hop=res["hop"],
-            eps_mag=cfg.eps_mag,
         )
         mp = to_mag_phase(stft(wf, stft_cfg))
         out.append(

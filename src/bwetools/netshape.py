@@ -34,6 +34,7 @@ __all__ = [
 DEFAULT_MRLD_WIDTHS = (64, 128, 256, 384, 256)
 DEFAULT_MSDFA_WIDTHS = (64, 128, 256, 384, 256)
 MPD_REFERENCE_PARAMS = 22_000_000  # published size of the periodicity discriminator
+LEAKY_SLOPE = 0.1  # negative-side slope of every leaky ReLU
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class BatchNormSpec:
 
 @dataclass(frozen=True)
 class LeakyReluSpec:
-    slope: float = 0.1
+    """Leaky ReLU with slope LEAKY_SLOPE below zero."""
 
 
 @dataclass(frozen=True)
@@ -253,7 +254,7 @@ def forward_cnn(
             shape = (-1,) + (1,) * dims
             x = entry["gamma"].reshape(shape) * x + entry["beta"].reshape(shape)
         elif isinstance(layer, LeakyReluSpec):
-            x = np.where(x >= 0, x, layer.slope * x)
+            x = np.where(x >= 0, x, LEAKY_SLOPE * x)
     return x.ravel()
 
 
@@ -351,12 +352,6 @@ def _run_block(x: np.ndarray, g: GeneratorGraph, p: dict) -> np.ndarray:
     return x + ff
 
 
-def _gate(base: np.ndarray, other: np.ndarray, scalar: float) -> np.ndarray:
-    if scalar == 0.0:
-        return base
-    return base + scalar * other
-
-
 def _generator_params(g: GeneratorGraph, seed: int, zero: bool) -> tuple[dict, int]:
     draw = _ParamDraw(seed, zero)
     params = {
@@ -391,10 +386,10 @@ def generator_forward(
     m = mp_nb.mag.T @ p["in_m"] + p["in_mb"]  # (T, hidden)
     ph = mp_nb.phase.T @ p["in_p"] + p["in_pb"]
 
-    m1 = _run_block(_gate(m, ph, s.alpha1), g, p["blocks"][0])
-    p1 = _run_block(_gate(ph, m, s.beta1), g, p["blocks"][1])
-    m2 = _run_block(_gate(m1, p1, s.alpha2), g, p["blocks"][2])
-    p2 = _run_block(_gate(p1, m1, s.beta2), g, p["blocks"][3])
+    m1 = _run_block(m + s.alpha1 * ph, g, p["blocks"][0])
+    p1 = _run_block(ph + s.beta1 * m, g, p["blocks"][1])
+    m2 = _run_block(m1 + s.alpha2 * p1, g, p["blocks"][2])
+    p2 = _run_block(p1 + s.beta2 * m1, g, p["blocks"][3])
 
     residual = (_layer_norm(m2) @ p["head_mag"] + p["head_magb"]).T
     out_mag = mp_nb.mag + residual

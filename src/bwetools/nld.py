@@ -220,23 +220,16 @@ def _nearest_from_halves(pts, n, theiler, h, half_dist, half_nn):
     return dist, nn
 
 
-def _exponents(segments: np.ndarray, p: EmbeddingParams, nn=None) -> tuple[np.ndarray, np.ndarray]:
-    """The one-window kernel. nn, when given, holds the nearest neighbors
-    `lyapunov_windows` found on the clip's scale; otherwise each segment is
-    searched scaled by the power of two from its peak."""
-    count, length = segments.shape
-    n, delta, theiler = _horizon(length, p)
-    if n < 2 or count == 0:
-        return np.zeros(count), np.ones(count, dtype=bool)
-    exponent = peak_exponent(segments, axis=1)
-    y = delay_embed(np.ldexp(segments, -exponent), p.d, p.tau)
-    if nn is None:
-        nn = _nearest(y, n, theiler)[1]
+def _rates(y: np.ndarray, exponent, n: int, delta: int, theiler: int, nn: np.ndarray, eps: float):
+    """The one-window kernel: (values, degenerate) of embedded segments y,
+    (count, n + delta, d), scaled by 2**-exponent (a scalar, or a (count, 1)
+    column), given nn, the nearest neighbor of each of their first n points."""
+    count = y.shape[0]
     flat_nn = nn + y.shape[1] * np.arange(count)[:, None]
-    points = y.reshape(-1, p.d)
+    points = y.reshape(-1, y.shape[2])
     d0 = np.ldexp(np.linalg.norm(y[:, :n] - points.take(flat_nn, axis=0), axis=2), exponent)
     d1 = np.ldexp(np.linalg.norm(y[:, delta:] - points.take(flat_nn + delta, axis=0), axis=2), exponent)
-    rates = np.log((d1 + p.eps) / (d0 + p.eps)) / delta
+    rates = np.log((d1 + eps) / (d0 + eps)) / delta
     j = np.arange(n)
     # rows with some j' outside the Theiler window and a finite distance to it
     valid = ((j > theiler) | (j < n - 1 - theiler)) & np.isfinite(d0)
@@ -266,7 +259,13 @@ def lyapunov_exponents(segments, p: EmbeddingParams | None = None) -> tuple[np.n
     segments = np.asarray(segments, dtype=np.float64)
     if segments.ndim != 2:
         raise InvalidArgumentError("segments must be a (count, length) array")
-    return _exponents(segments, p)
+    count, length = segments.shape
+    n, delta, theiler = _horizon(length, p)
+    if n < 2 or count == 0:
+        return np.zeros(count), np.ones(count, dtype=bool)
+    exponent = peak_exponent(segments, axis=1)
+    y = delay_embed(np.ldexp(segments, -exponent), p.d, p.tau)
+    return _rates(y, exponent, n, delta, theiler, _nearest(y, n, theiler)[1], p.eps)
 
 
 def _sizes(values, what: str) -> list[int]:
@@ -294,39 +293,39 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
     short for the embedding gets empty arrays. Windows must be distinct
     integers >= 1.
 
-    The neighbor search runs on the whole clip scaled by the power of two
-    from its peak, so segment s at w is segments 2s and 2s+1 at w/2 and,
-    when w/2 is in the set, the search at w reuses theirs. This is exact
-    while every nonzero sample of the scaled clip is at least 2**-459 in
-    magnitude (every squared difference is then a normal number); a clip
-    below that bound has every window searched on each segment's own scale.
+    Each window is embedded once, on the clip scaled by the power of two from
+    its peak, and searched and measured on those points. So segment s at w is
+    segments 2s and 2s+1 at w/2 and, when w/2 is in the set, the search at w
+    reuses theirs. This is exact while every nonzero sample of the scaled
+    clip is at least 2**-459 in magnitude (every squared difference is then a
+    normal number); a clip below that bound runs on each segment's scale.
     """
     p = p or EmbeddingParams()
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise InvalidArgumentError("x must be one-dimensional")
-    z = np.ldexp(x, -peak_exponent(x))
+    exponent = peak_exponent(x).item()
+    z = np.ldexp(x, -exponent)
     shared = bool(np.all((z == 0) | (np.abs(z) >= _SHARED_SCALE_FLOOR)))
     out = {}
     searched = None  # (window, distances, neighbors) on the clip scale
     for w in _sizes(windows, "window sizes"):
         count = x.size // w
-        segments = x[: count * w].reshape(count, w)
         try:
-            n, _, theiler = _horizon(w, p)
+            n, delta, theiler = _horizon(w, p)
         except InvalidArgumentError:
             out[w] = (np.empty(0), np.empty(0, dtype=bool))
             continue
-        nn = None
-        if shared and n >= 2 and count:
-            pts = delay_embed(z[: count * w].reshape(count, w), p.d, p.tau)
-            if searched is not None and 2 * searched[0] == w:
-                searched = (w, *_nearest_from_halves(pts, n, theiler, *searched))
-            else:
-                searched = (w, *_nearest(pts, n, theiler))
-            del pts  # freed before the rates, where each window peaks in memory
-            nn = searched[2]
-        out[w] = _exponents(segments, p, nn)
+        if not (shared and n >= 2 and count):
+            out[w] = lyapunov_exponents(x[: count * w].reshape(count, w), p)
+            continue
+        pts = delay_embed(z[: count * w].reshape(count, w), p.d, p.tau)
+        if searched is not None and 2 * searched[0] == w:
+            searched = (w, *_nearest_from_halves(pts, n, theiler, *searched))
+        else:
+            searched = (w, *_nearest(pts, n, theiler))
+        out[w] = _rates(pts, exponent, n, delta, theiler, searched[2], p.eps)
+        del pts  # not held while the next window is embedded
     return out
 
 
@@ -341,7 +340,8 @@ def dfa_fluctuation(x, n: int) -> float:
 
     Cumulative profile of the centered series, split into floor(len/n)
     non-overlapping boxes, linear detrend per box, RMS of the per-box mean
-    squared residuals.
+    squared residuals. x is evaluated scaled by the power of two from its
+    peak, so F(2**k * x) == 2**k * F(x) exactly while both are finite.
     """
     x = np.asarray(x, dtype=np.float64)
     if n < 2:
@@ -352,6 +352,8 @@ def dfa_fluctuation(x, n: int) -> float:
         # centering a constant series leaves rounding dust in the profile;
         # the fluctuation is zero by definition
         return 0.0
+    exponent = peak_exponent(x).item()
+    x = np.ldexp(x, -exponent)
     profile = np.cumsum(x - x.mean())
     n_boxes = profile.size // n
     boxes = profile[: n_boxes * n].reshape(n_boxes, n)
@@ -359,7 +361,7 @@ def dfa_fluctuation(x, n: int) -> float:
     design = np.vstack([t, np.ones(n)]).T
     coef, *_ = np.linalg.lstsq(design, boxes.T, rcond=None)
     resid = boxes.T - design @ coef
-    return float(np.sqrt(np.mean(resid**2)))
+    return math.ldexp(float(np.sqrt(np.mean(resid**2))), exponent)
 
 
 def dfa_exponent(x, scales) -> float:
@@ -404,17 +406,19 @@ def poincare_sd(x) -> PoincareDescriptors:
     SD1^2 = E[(dx)^2]/2 with dx the successive differences (raw second
     moment; the mean difference telescopes to ~0 for stationary segments),
     SD2^2 = 2*Var(x) - SD1^2 with population variance, so that
-    SD1^2 + SD2^2 == 2*Var(x) holds identically.
+    SD1^2 + SD2^2 == 2*Var(x) holds identically. x is evaluated scaled by
+    the power of two from its peak, so both scale exactly with 2**k * x.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size < 3:
         raise InvalidArgumentError("need at least 3 samples")
+    exponent = peak_exponent(x).item()
+    x = np.ldexp(x, -exponent)
     dx = np.diff(x)
     var_dx = float(np.mean(dx**2))
     var_x = float(np.var(x))
     sd1_sq = var_dx / 2.0
     sd2_sq = 2.0 * var_x - sd1_sq
     clamped = sd2_sq < 0
-    return PoincareDescriptors(
-        sd1=math.sqrt(sd1_sq), sd2=math.sqrt(max(sd2_sq, 0.0)), clamped=clamped
-    )
+    sd1, sd2 = math.sqrt(sd1_sq), math.sqrt(max(sd2_sq, 0.0))
+    return PoincareDescriptors(math.ldexp(sd1, exponent), math.ldexp(sd2, exponent), clamped)

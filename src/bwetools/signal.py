@@ -26,6 +26,8 @@ __all__ = [
     "peak_exponent",
 ]
 
+KAISER_BETA = 8.6  # resampling filter's Kaiser window: sets the stopband attenuation
+
 
 @dataclass(frozen=True)
 class Waveform:
@@ -57,12 +59,11 @@ class ResampleConfig:
     """Windowed-sinc filter design for rate conversion.
 
     filter_half_width counts sinc zero crossings kept on each side of the
-    center tap; kaiser_beta sets stopband attenuation; rolloff shrinks the
-    cutoff below Nyquist to leave room for the transition band.
+    center tap; rolloff shrinks the cutoff below Nyquist to leave room for
+    the transition band.
     """
 
     filter_half_width: int = 32
-    kaiser_beta: float = 8.6
     rolloff: float = 0.945
 
     def __post_init__(self):
@@ -242,14 +243,15 @@ def _kaiser(m: int, beta: float) -> np.ndarray:
     return np.concatenate([half, half[: m // 2][::-1]])
 
 
-def _design_lowpass(cutoff: float, half_width: int, beta: float) -> np.ndarray:
-    """Kaiser-windowed sinc with `half_width` zero crossings per side.
+def _design_lowpass(cutoff: float, half_width: int) -> np.ndarray:
+    """Kaiser-windowed sinc, beta KAISER_BETA, with `half_width` zero
+    crossings per side.
 
     cutoff is in units of the (post-upsampling) Nyquist frequency.
     """
     n_half = int(math.ceil(half_width / cutoff))
     n = np.arange(-n_half, n_half + 1, dtype=np.float64)
-    taps = cutoff * np.sinc(cutoff * n) * _kaiser(2 * n_half + 1, beta)
+    taps = cutoff * np.sinc(cutoff * n) * _kaiser(2 * n_half + 1, KAISER_BETA)
     return taps / taps.sum()
 
 
@@ -261,7 +263,7 @@ def _polyphase_taps(rate_in: int, rate_out: int, cfg: ResampleConfig) -> tuple:
     up = rate_out // g
     down = rate_in // g
     cutoff = cfg.rolloff * min(1.0 / up, 1.0 / down)
-    return _design_lowpass(cutoff, cfg.filter_half_width, cfg.kaiser_beta) * up, up, down
+    return _design_lowpass(cutoff, cfg.filter_half_width) * up, up, down
 
 
 @functools.lru_cache(maxsize=16)

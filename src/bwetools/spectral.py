@@ -1,8 +1,9 @@
 """STFT analysis/synthesis and log-magnitude / phase spectrogram handling.
 
 The complex grid convention is F x T with F = n_fft//2 + 1 (one-sided
-spectrum). Magnitude is natural-log with an additive floor; phase lives in
-(-pi, pi] with atan2(0, 0) defined as 0.
+spectrum). Magnitude is natural-log with the additive floor EPS_MAG; phase
+lives in (-pi, pi] with atan2(0, 0) defined as 0. The analysis window is the
+periodic Hann window.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import InvalidArgumentError
 from .signal import Waveform
 
 __all__ = [
+    "EPS_MAG",
     "StftConfig",
     "ComplexSpectrogram",
     "MagPhase",
@@ -30,6 +32,8 @@ __all__ = [
     "write_f32",
     "read_f32",
 ]
+
+EPS_MAG = 1e-5  # floor added to |X| before the log magnitude
 
 
 def _hann(m: int) -> np.ndarray:
@@ -62,17 +66,11 @@ class StftConfig:
     n_fft: int = 1024
     win_length: int = 1024
     hop: int = 256
-    window: str = "hann"
     center: bool = True
-    eps_mag: float = 1e-5
 
     def __post_init__(self):
         if not (1 <= self.hop <= self.win_length <= self.n_fft):
             raise InvalidArgumentError("need hop <= win_length <= n_fft, all >= 1")
-        if self.window != "hann":
-            raise InvalidArgumentError(f"unsupported window {self.window!r}")
-        if self.eps_mag <= 0:
-            raise InvalidArgumentError("eps_mag must be > 0")
         if not _is_cola(_hann(self.win_length), self.hop):
             raise InvalidArgumentError(
                 f"window/hop pair ({self.win_length}, {self.hop}) does not satisfy COLA"
@@ -177,10 +175,9 @@ def _canonical_phase(phase: np.ndarray) -> np.ndarray:
     return np.where(phase <= -np.pi, np.pi, phase)
 
 
-def to_mag_phase(spec: ComplexSpectrogram, eps_mag: float | None = None) -> MagPhase:
-    """Split a complex grid into floored log-magnitude and phase."""
-    eps = spec.config.eps_mag if eps_mag is None else eps_mag
-    mag = np.log(np.abs(spec.data) + eps)
+def to_mag_phase(spec: ComplexSpectrogram) -> MagPhase:
+    """Split a complex grid into log(|X| + EPS_MAG) and phase."""
+    mag = np.log(np.abs(spec.data) + EPS_MAG)
     phase = np.where(spec.data == 0, 0.0, _canonical_phase(np.angle(spec.data)))
     return MagPhase(mag, phase, spec.config, spec.n_samples)
 

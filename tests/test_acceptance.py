@@ -39,6 +39,7 @@ from bwetools.nld import (
 )
 from bwetools.signal import Waveform, degrade
 from bwetools.spectral import (
+    EPS_MAG,
     MagPhase,
     StftConfig,
     istft,
@@ -123,7 +124,7 @@ def test_criterion_3_spectral_round_trip():
     spec = stft(Waveform(rng.standard_normal(8192), 48000), cfg)
     resynth = synthesize(to_mag_phase(spec))
     magphase_ok = np.all(
-        np.abs(resynth.data - spec.data) <= np.abs(spec.data) * 1e-6 + cfg.eps_mag
+        np.abs(resynth.data - spec.data) <= np.abs(spec.data) * 1e-6 + EPS_MAG
     )
 
     r = rng.standard_normal(1_000_000)

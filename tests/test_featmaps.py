@@ -15,6 +15,7 @@ from bwetools.featmaps import (
 )
 from bwetools.nld import dfa_exponent, dfa_fluctuation
 from bwetools.signal import Waveform
+from bwetools.spectral import EPS_MAG
 from conftest import logistic_orbit
 
 
@@ -116,6 +117,11 @@ class TestMsdfa:
         stack = msdfa_features(Waveform(np.full(4096, -0.5), 16000))
         assert np.all(stack.data == 0)
 
+    def test_extreme_amplitude_finite(self):
+        wf = synthetic_speech(duration=0.5, seed=0)
+        big = msdfa_features(Waveform(wf.samples * 1e200, wf.rate))
+        assert np.all(np.isfinite(big.data)) and np.all(big.data > 0)
+
     def test_scale_too_large_flagged(self):
         stack = msdfa_features(noise_wave(500, seed=7))
         metas = {m["scale"]: m for m in stack.meta["channels"]}
@@ -141,7 +147,7 @@ class TestMradMrpd:
         cfg = MultiResSpecConfig()
         grids = mrad_mrpd_features(Waveform(np.zeros(8192), 48000), cfg)
         for g in grids:
-            assert np.allclose(g.mag, np.log(cfg.eps_mag))
+            assert np.allclose(g.mag, np.log(EPS_MAG))
             assert np.all(g.phase == 0)
 
     def test_sine_bin_location(self):

@@ -1,7 +1,7 @@
 """Import budget: `import bwetools`, the CLI, `netinfo`, the STFT, `degrade`,
 `compare` and every extractor but MRLD load no scipy module at all; MRLD
-loads `scipy.spatial.distance` for `cdist`. Each check runs in a fresh
-interpreter."""
+loads `scipy.spatial.distance` for `cdist`. Every name the benchmark's tracer
+wraps exists. Each check runs in a fresh interpreter."""
 
 import os
 import subprocess
@@ -15,6 +15,7 @@ from bwetools import demo, signal
 
 SRC = str(Path(bwetools.__file__).resolve().parents[1])
 SUBMODULES = ("cli", "demo", "featmaps", "metrics", "netshape", "nld", "signal", "spectral")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def run_python(*args, cwd=None):
@@ -90,5 +91,20 @@ def test_submodules_resolve_on_attribute_access():
         f"for name in {SUBMODULES!r}:\n"
         "    assert getattr(bwetools, name).__name__ == 'bwetools.' + name, name\n"
         "assert not hasattr(bwetools, 'no_such_module')",
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_perfbench_tracer_finds_every_traced_function():
+    # the tracer looks each function up by name, so a rename would otherwise
+    # break only traced benchmark runs
+    proc = run_python(
+        "-c",
+        "import importlib, sys\n"
+        f"for name in {SUBMODULES!r}:\n"
+        "    importlib.import_module('bwetools.' + name)\n"
+        f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+        "import tracing\n"
+        "tracing.Tracer()",
     )
     assert proc.returncode == 0, proc.stderr

@@ -173,7 +173,7 @@ class TestLyapunovKernel:
             assert est.value == value and est.degenerate == flag
 
     @given(
-        kind=st.sampled_from(["random", "sine", "constant", "pcm16"]),
+        kind=st.sampled_from(["random", "sine", "constant", "pcm16", "quiet"]),
         seed=st.integers(0, 2**16),
         windows=st.one_of(
             st.builds(
@@ -213,6 +213,12 @@ class TestLyapunovKernel:
             x = rng.uniform(-1, 1, size)
             if kind == "pcm16":
                 x = pcm16(0.01 * x)
+            elif kind == "quiet":
+                # all blocks but the first up to 440 binades down: a segment's
+                # own scale and the clip's differ by up to hundreds of powers of two
+                blocks = np.split(x, np.sort(rng.integers(0, size, 4)))
+                binades = [0, *rng.integers(0, 441, len(blocks) - 1)]
+                x = np.concatenate([np.ldexp(b, -j) for b, j in zip(blocks, binades)])
         x = amplitude * x
         if below_floor:
             # one sample below 2**-459 of the peak: the clip-wide search is not exact
@@ -308,6 +314,21 @@ class TestDfa:
     def test_exponent_needs_two_scales(self):
         with pytest.raises(InvalidArgumentError):
             dfa_exponent(np.full(1000, 1.0), (100, 200))  # both F(n) == 0
+
+    @given(seed=st.integers(0, 2**16), k=st.integers(-600, 600), rounded=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_scale_is_exact(self, seed, k, rounded):
+        """F(2**k x) == 2**k F(x) at every DFA scale, and likewise SD1 and SD2,
+        where the plain sums would overflow or underflow."""
+        x = np.random.default_rng(seed).standard_normal(1500)
+        if rounded:
+            x = pcm16(0.1 * x)
+        scaled = np.ldexp(x, k)
+        for n in SCALES:
+            assert dfa_fluctuation(scaled, n) == np.ldexp(dfa_fluctuation(x, n), k)
+        d, ds = poincare_sd(x), poincare_sd(scaled)
+        assert (ds.sd1, ds.sd2) == (np.ldexp(d.sd1, k), np.ldexp(d.sd2, k))
+        assert ds.clamped == d.clamped
 
     def test_exponent_ignores_scale_order(self):
         x = np.random.default_rng(3).standard_normal(8192)

@@ -10,6 +10,7 @@ from scipy.signal.windows import hann
 from bwetools.errors import InvalidArgumentError
 from bwetools.signal import Waveform
 from bwetools.spectral import (
+    EPS_MAG,
     ComplexSpectrogram,
     MagPhase,
     StftConfig,
@@ -164,11 +165,11 @@ class TestMagPhase:
         cfg = StftConfig()
         spec = ComplexSpectrogram(np.ones((513, 2), dtype=complex), cfg)
         mp = to_mag_phase(spec)
-        assert np.allclose(mp.mag, np.log(1 + cfg.eps_mag))
+        assert np.allclose(mp.mag, np.log(1 + EPS_MAG))
         assert np.all(mp.phase == 0)
 
     def test_zero_entry_floor(self):
-        cfg = StftConfig(eps_mag=1e-5)
+        cfg = StftConfig()
         spec = ComplexSpectrogram(np.zeros((513, 2), dtype=complex), cfg)
         mp = to_mag_phase(spec)
         assert np.allclose(mp.mag, np.log(1e-5))
@@ -185,7 +186,7 @@ class TestMagPhase:
         z = rng.standard_normal((513, 16)) + 1j * rng.standard_normal((513, 16))
         spec = ComplexSpectrogram(z, cfg)
         back = synthesize(to_mag_phase(spec))
-        assert np.all(np.abs(back.data - z) <= np.abs(z) * 1e-6 + cfg.eps_mag)
+        assert np.all(np.abs(back.data - z) <= np.abs(z) * 1e-6 + EPS_MAG)
 
 
 class TestPhaseFromRI:
