@@ -4,7 +4,7 @@ intelligibility."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,13 +46,7 @@ class MetricReport:
     config: dict
 
     def as_dict(self) -> dict:
-        return {
-            "lsd": self.lsd,
-            "si_sdr": self.si_sdr,
-            "si_snr": self.si_snr,
-            "stoi": self.stoi,
-            "config": self.config,
-        }
+        return asdict(self)
 
 
 def _aligned(ref: Waveform, est: Waveform) -> tuple[np.ndarray, np.ndarray]:

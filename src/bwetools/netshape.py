@@ -4,7 +4,8 @@ deterministic inference-only forward passes with seeded random weights."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -55,15 +56,56 @@ class ConvSpec:
         if self.kernel < 1 or self.c_in < 1 or self.c_out < 1 or self.stride < 1:
             raise InvalidArgumentError("kernel, channels, and stride must be >= 1")
 
+    def shapes(self) -> dict:
+        """Weight name -> shape in draw order. Depthwise-separable = per-channel
+        spatial filter plus 1x1 pointwise mixing; standard = dense kernel."""
+        k = (self.kernel,) * self.dims
+        if self.kind == "standard":
+            table = {"w": (self.c_out, self.c_in, *k)}
+            return (table | {"b": (self.c_out,)}) if self.bias else table
+        table = {"dw": (self.c_in, *k), "pw": (self.c_out, self.c_in)}
+        return (table | {"dwb": (self.c_in,), "pwb": (self.c_out,)}) if self.bias else table
+
+    def apply(self, x: np.ndarray, w: dict) -> np.ndarray:
+        col = (-1,) + (1,) * self.dims
+        if self.kind == "standard":
+            windows = _windows(x, self.kernel, self.stride)
+            # contract w's (c_in, taps...) axes with the windows' (C, ..., taps...)
+            axes = tuple(range(1, 2 + self.dims)), (0, *range(-self.dims, 0))
+            out = np.tensordot(w["w"], windows, axes=axes)
+            if self.bias:
+                out += w["b"].reshape(col)
+            return out
+        dw = _depthwise(x, w["dw"], self.stride)
+        if self.bias:
+            dw += w["dwb"].reshape(col)
+        out = np.tensordot(w["pw"], dw, axes=(1, 0))  # pointwise 1x1 mixing
+        if self.bias:
+            out += w["pwb"].reshape(col)
+        return out
+
 
 @dataclass(frozen=True)
 class BatchNormSpec:
     channels: int
 
+    def shapes(self) -> dict:
+        return {"gamma": (self.channels,), "beta": (self.channels,)}
+
+    def apply(self, x: np.ndarray, w: dict) -> np.ndarray:
+        col = (-1,) + (1,) * (x.ndim - 1)
+        return w["gamma"].reshape(col) * x + w["beta"].reshape(col)
+
 
 @dataclass(frozen=True)
 class LeakyReluSpec:
     """Leaky ReLU with slope LEAKY_SLOPE below zero."""
+
+    def shapes(self) -> dict:
+        return {}
+
+    def apply(self, x: np.ndarray, w: dict) -> np.ndarray:
+        return np.where(x >= 0, x, LEAKY_SLOPE * x)
 
 
 @dataclass(frozen=True)
@@ -72,42 +114,28 @@ class NetDescriptor:
     layers: tuple
 
     def __post_init__(self):
-        prev_out = None
-        for layer in self.layers:
-            if isinstance(layer, ConvSpec):
-                if prev_out is not None and layer.c_in != prev_out:
-                    raise InvalidArgumentError(
-                        f"channel mismatch: {prev_out} feeds a layer expecting {layer.c_in}"
-                    )
-                prev_out = layer.c_out
+        convs = self.conv_layers()
+        for prev, conv in zip(convs, convs[1:]):
+            if conv.c_in != prev.c_out:
+                raise InvalidArgumentError(
+                    f"channel mismatch: {prev.c_out} feeds a layer expecting {conv.c_in}"
+                )
 
     def conv_layers(self) -> list[ConvSpec]:
         return [l for l in self.layers if isinstance(l, ConvSpec)]
 
 
+def _size(*tables: dict) -> int:
+    return sum(math.prod(shape) for table in tables for shape in table.values())
+
+
 def conv_params(spec: ConvSpec) -> int:
-    """Exact weight count. Depthwise-separable = per-channel spatial filter
-    plus 1x1 pointwise mixing; standard = dense K^dims * c_in * c_out."""
-    k = spec.kernel**spec.dims
-    if spec.kind == "standard":
-        n = k * spec.c_in * spec.c_out
-        if spec.bias:
-            n += spec.c_out
-    else:
-        n = k * spec.c_in + spec.c_in * spec.c_out
-        if spec.bias:
-            n += spec.c_in + spec.c_out
-    return n
+    """Exact weight count of the shapes the layer declares."""
+    return _size(spec.shapes())
 
 
 def param_count(net: NetDescriptor) -> int:
-    total = 0
-    for layer in net.layers:
-        if isinstance(layer, ConvSpec):
-            total += conv_params(layer)
-        elif isinstance(layer, BatchNormSpec):
-            total += 2 * layer.channels
-    return total
+    return _size(*(layer.shapes() for layer in net.layers))
 
 
 def _dsc_stack(name, dims, in_channels, widths, kernels, strides) -> NetDescriptor:
@@ -140,45 +168,17 @@ def build_msdfa_cnn(widths=DEFAULT_MSDFA_WIDTHS, in_channels: int = 5) -> NetDes
 # inference
 
 
-class _ParamDraw:
-    """Seeded uniform(-0.05, 0.05) draws (or zeros) in call order, counting
-    the values handed out."""
-
-    def __init__(self, seed: int, zero: bool):
-        self.rng = np.random.default_rng(seed)
-        self.zero = zero
-        self.count = 0
-
-    def __call__(self, *shape):
-        self.count += int(np.prod(shape))
-        if self.zero:
-            return np.zeros(shape)
-        return self.rng.uniform(-0.05, 0.05, size=shape)
+def _draw(tables: list[dict], seed: int, zero: bool) -> list[dict]:
+    """One array per table entry, drawn uniform(-0.05, 0.05) from a fixed seed
+    (or all zeros) in table order, so results are reproducible."""
+    rng = np.random.default_rng(seed)
+    sample = np.zeros if zero else lambda shape: rng.uniform(-0.05, 0.05, size=shape)
+    return [{name: sample(shape) for name, shape in table.items()} for table in tables]
 
 
 def init_weights(net: NetDescriptor, seed: int = 0, zero: bool = False) -> list[dict]:
-    """Per-layer weight arrays, drawn uniform(-0.05, 0.05) from a fixed seed
-    (or all zeros). Order of draws is fixed so results are reproducible."""
-    draw = _ParamDraw(seed, zero)
-    weights = []
-    for layer in net.layers:
-        if isinstance(layer, ConvSpec):
-            k = (layer.kernel,) * layer.dims
-            if layer.kind == "standard":
-                entry = {"w": draw(layer.c_out, layer.c_in, *k)}
-                if layer.bias:
-                    entry["b"] = draw(layer.c_out)
-            else:
-                entry = {"dw": draw(layer.c_in, *k), "pw": draw(layer.c_out, layer.c_in)}
-                if layer.bias:
-                    entry["dwb"] = draw(layer.c_in)
-                    entry["pwb"] = draw(layer.c_out)
-        elif isinstance(layer, BatchNormSpec):
-            entry = {"gamma": draw(layer.channels), "beta": draw(layer.channels)}
-        else:
-            entry = {}
-        weights.append(entry)
-    return weights
+    """Per-layer weight arrays in the order of each layer's shapes()."""
+    return _draw([layer.shapes() for layer in net.layers], seed, zero)
 
 
 def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
@@ -199,26 +199,6 @@ def _depthwise(x: np.ndarray, kernel: np.ndarray, stride: int = 1) -> np.ndarray
     return np.einsum(f"c{s}{t},c{t}->c{s}", _windows(x, kernel.shape[-1], stride), kernel)
 
 
-def _apply_conv(x: np.ndarray, layer: ConvSpec, entry: dict) -> np.ndarray:
-    if layer.kind == "standard":
-        windows = _windows(x, layer.kernel, layer.stride)
-        # contract w's (c_in, taps...) axes with the windows' (C, ..., taps...)
-        axes = tuple(range(1, 2 + layer.dims)), (0, *range(-layer.dims, 0))
-        out = np.tensordot(entry["w"], windows, axes=axes)
-        if layer.bias:
-            out += entry["b"].reshape((-1,) + (1,) * layer.dims)
-        return out
-    # depthwise stage
-    dw = _depthwise(x, entry["dw"], layer.stride)
-    if layer.bias:
-        dw += entry["dwb"].reshape((-1,) + (1,) * layer.dims)
-    # pointwise 1x1 mixing
-    out = np.tensordot(entry["pw"], dw, axes=(1, 0))
-    if layer.bias:
-        out += entry["pwb"].reshape((-1,) + (1,) * layer.dims)
-    return out
-
-
 def forward_cnn(
     net: NetDescriptor,
     stack: FeatureMapStack,
@@ -234,12 +214,11 @@ def forward_cnn(
     convs = net.conv_layers()
     if not convs:
         raise InvalidArgumentError("descriptor has no convolution layers")
-    dims = convs[0].dims
     if stack.channels != convs[0].c_in:
         raise InvalidArgumentError(
             f"stack has {stack.channels} channels, net expects {convs[0].c_in}"
         )
-    if dims == 1:
+    if convs[0].dims == 1:
         if stack.height != 1:
             raise InvalidArgumentError("1-D net needs an H=1 stack")
         x = stack.data[:, 0, :]
@@ -248,13 +227,7 @@ def forward_cnn(
     if weights is None:
         weights = init_weights(net, seed, zero=zero_weights)
     for layer, entry in zip(net.layers, weights):
-        if isinstance(layer, ConvSpec):
-            x = _apply_conv(x, layer, entry)
-        elif isinstance(layer, BatchNormSpec):
-            shape = (-1,) + (1,) * dims
-            x = entry["gamma"].reshape(shape) * x + entry["beta"].reshape(shape)
-        elif isinstance(layer, LeakyReluSpec):
-            x = np.where(x >= 0, x, LEAKY_SLOPE * x)
+        x = layer.apply(x, entry)
     return x.ravel()
 
 
@@ -320,15 +293,22 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _block_params(g: GeneratorGraph, draw: _ParamDraw) -> dict:
-    h = g.hidden
-    e = g.mlp_ratio * h
-    return {
-        "wq": draw(h, h), "wk": draw(h, h), "wv": draw(h, h), "wo": draw(h, h),
-        "dw": draw(h, g.conv_kernel),
-        "cx1": draw(h, e), "cx1b": draw(e), "cx2": draw(e, h), "cx2b": draw(h),
-        "ff1": draw(h, e), "ff1b": draw(e), "ff2": draw(e, h), "ff2b": draw(h),
+def _generator_shapes(g: GeneratorGraph) -> list[dict]:
+    """Weight tables in draw order: input projections, one per block, heads."""
+    f, h, e = g.freq_bins, g.hidden, g.mlp_ratio * g.hidden
+    inputs = {"in_m": (f, h), "in_mb": (h,), "in_p": (f, h), "in_pb": (h,)}
+    block = {
+        "wq": (h, h), "wk": (h, h), "wv": (h, h), "wo": (h, h),
+        "dw": (h, g.conv_kernel),
+        "cx1": (h, e), "cx1b": (e,), "cx2": (e, h), "cx2b": (h,),
+        "ff1": (h, e), "ff1b": (e,), "ff2": (e, h), "ff2b": (h,),
     }
+    heads = {
+        "head_mag": (h, f), "head_magb": (f,),
+        "head_r": (h, f), "head_rb": (f,),
+        "head_i": (h, f), "head_ib": (f,),
+    }
+    return [inputs, *[block] * g.n_blocks, heads]
 
 
 def _run_block(x: np.ndarray, g: GeneratorGraph, p: dict) -> np.ndarray:
@@ -352,21 +332,8 @@ def _run_block(x: np.ndarray, g: GeneratorGraph, p: dict) -> np.ndarray:
     return x + ff
 
 
-def _generator_params(g: GeneratorGraph, seed: int, zero: bool) -> tuple[dict, int]:
-    draw = _ParamDraw(seed, zero)
-    params = {
-        "in_m": draw(g.freq_bins, g.hidden), "in_mb": draw(g.hidden),
-        "in_p": draw(g.freq_bins, g.hidden), "in_pb": draw(g.hidden),
-        "blocks": [_block_params(g, draw) for _ in range(4)],
-        "head_mag": draw(g.hidden, g.freq_bins), "head_magb": draw(g.freq_bins),
-        "head_r": draw(g.hidden, g.freq_bins), "head_rb": draw(g.freq_bins),
-        "head_i": draw(g.hidden, g.freq_bins), "head_ib": draw(g.freq_bins),
-    }
-    return params, draw.count
-
-
 def generator_param_count(g: GeneratorGraph) -> int:
-    return _generator_params(g, 0, zero=True)[1]
+    return _size(*_generator_shapes(g))
 
 
 def generator_forward(
@@ -381,21 +348,23 @@ def generator_forward(
         raise InvalidArgumentError(
             f"expected ({g.freq_bins}, {g.frames}) grids, got {mp_nb.mag.shape}"
         )
-    p, _ = _generator_params(g, seed, zero_weights)
+    if not (np.isfinite(mp_nb.mag).all() and np.isfinite(mp_nb.phase).all()):
+        raise InvalidArgumentError("generator input has non-finite magnitude or phase")
+    w_in, *blocks, w_head = _draw(_generator_shapes(g), seed, zero_weights)
     s = g.scalars
-    m = mp_nb.mag.T @ p["in_m"] + p["in_mb"]  # (T, hidden)
-    ph = mp_nb.phase.T @ p["in_p"] + p["in_pb"]
+    m = mp_nb.mag.T @ w_in["in_m"] + w_in["in_mb"]  # (T, hidden)
+    ph = mp_nb.phase.T @ w_in["in_p"] + w_in["in_pb"]
 
-    m1 = _run_block(m + s.alpha1 * ph, g, p["blocks"][0])
-    p1 = _run_block(ph + s.beta1 * m, g, p["blocks"][1])
-    m2 = _run_block(m1 + s.alpha2 * p1, g, p["blocks"][2])
-    p2 = _run_block(p1 + s.beta2 * m1, g, p["blocks"][3])
+    m1 = _run_block(m + s.alpha1 * ph, g, blocks[0])
+    p1 = _run_block(ph + s.beta1 * m, g, blocks[1])
+    m2 = _run_block(m1 + s.alpha2 * p1, g, blocks[2])
+    p2 = _run_block(p1 + s.beta2 * m1, g, blocks[3])
 
-    residual = (_layer_norm(m2) @ p["head_mag"] + p["head_magb"]).T
+    residual = (_layer_norm(m2) @ w_head["head_mag"] + w_head["head_magb"]).T
     out_mag = mp_nb.mag + residual
     pn = _layer_norm(p2)
-    r = (pn @ p["head_r"] + p["head_rb"]).T
-    i = (pn @ p["head_i"] + p["head_ib"]).T
+    r = (pn @ w_head["head_r"] + w_head["head_rb"]).T
+    i = (pn @ w_head["head_i"] + w_head["head_ib"]).T
     return MagPhase(out_mag, phase_from_ri(r, i), mp_nb.config, mp_nb.n_samples)
 
 
@@ -441,11 +410,6 @@ def describe_generator(g: GeneratorGraph) -> dict:
         "mlp_ratio": g.mlp_ratio,
         "freq_bins": g.freq_bins,
         "frames": g.frames,
-        "lattice_scalars": {
-            "alpha1": g.scalars.alpha1,
-            "alpha2": g.scalars.alpha2,
-            "beta1": g.scalars.beta1,
-            "beta2": g.scalars.beta2,
-        },
+        "lattice_scalars": asdict(g.scalars),
         "total_params": generator_param_count(g),
     }

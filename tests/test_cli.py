@@ -135,17 +135,24 @@ class TestNetinfoCommand:
         assert main(["netinfo", "mrld"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert 200_200 <= doc["total_params"] <= 270_825
+        assert doc["total_params"] == 245_406
+        assert [layer["params"] for layer in doc["layers"]] == [414, 8704, 33792, 100224, 100096]
+        assert doc["dsc_reduction_ratio"] == 4.08634
 
     def test_msdfa(self, capsys):
         assert main(["netinfo", "msdfa"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert 210_545 <= doc["total_params"] <= 284_855
+        assert doc["total_params"] == 256_770
+        assert [layer["params"] for layer in doc["layers"]] == [514, 9984, 36352, 105344, 102400]
+        assert doc["dsc_reduction_ratio"] == 17.1859
 
     def test_generator(self, capsys):
         assert main(["netinfo", "generator"]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert doc["conformer_blocks"] == 4
         assert doc["heads"] == 8
+        assert doc["total_params"] == 415_171
 
     def test_unknown(self, capsys):
         assert main(["netinfo", "mpd"]) == EXIT_USAGE

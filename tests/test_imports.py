@@ -65,8 +65,7 @@ def test_features_without_mrld_load_no_scipy(tmp_path, wav_pair, extractor, enco
     assert scipy_loaded_after(f"from bwetools import cli\nassert cli.main({argv!r}) == 0") == []
 
 
-def test_resampling_loads_scipy_signal_not_scipy_io(tmp_path):
-    # the name predates the numpy resampler: degrade and compare now load no scipy at all
+def test_degrade_and_compare_load_no_scipy(tmp_path):
     clip = tmp_path / "clip.wav"
     signal.save_wav(clip, demo.synthetic_speech(duration=1.0, rate=16000, seed=3))
     runs = {

@@ -362,6 +362,14 @@ class TestGenerator:
         with pytest.raises(InvalidArgumentError):
             generator_forward(g, bad)
 
+    @pytest.mark.parametrize("grid, value", [("mag", -np.inf), ("phase", np.nan)])
+    def test_non_finite_input_rejected(self, grid, value):
+        g = self.graph()
+        mp = self.mp(g, seed=6)
+        getattr(mp, grid)[3, 5] = value
+        with pytest.raises(InvalidArgumentError, match="non-finite"):
+            generator_forward(g, mp)
+
 
 class TestDescribe:
     def test_net_document(self):
