@@ -46,7 +46,9 @@ def _emit(doc: dict) -> None:
     sys.stdout.write(_to_json(doc) + "\n")
 
 
-def _load_config(path: str | None) -> dict:
+def _load_config(path: str | None, keys: tuple) -> dict:
+    """The flat JSON object at path ({} without one); a key outside `keys`,
+    the ones the chosen command reads, is an error."""
     if not path:
         return {}
     try:
@@ -58,6 +60,11 @@ def _load_config(path: str | None) -> dict:
         raise InvalidArgumentError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InvalidArgumentError("config must be a flat JSON object")
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise InvalidArgumentError(
+            f"config keys {unknown} are not read by this command (it reads {list(keys)})"
+        )
     return cfg
 
 
@@ -147,6 +154,14 @@ EXTRACTORS = {
     "rp": _rp,
     "poincare": _poincare,
 }
+# extractor name -> the config keys it reads
+EXTRACTOR_KEYS = {
+    "mrld": ("windows",),
+    "msdfa": ("scales", "side"),
+    "mrad_mrpd": (),
+    "rp": ("max_size",),
+    "poincare": (),
+}
 
 
 def cmd_features(args, cfg: dict) -> int:
@@ -194,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("low_rate", type=int)
     p.add_argument("output")
-    p.set_defaults(func=cmd_degrade)
+    # the positional low_rate always overrides the config's
+    p.set_defaults(func=cmd_degrade, keys=("low_rate",))
 
     p = sub.add_parser("features", help="extract feature maps to CSV/f32 dumps")
     p.add_argument("input")
@@ -205,11 +221,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="objective metrics for a reference/estimate pair")
     p.add_argument("reference")
     p.add_argument("estimate")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=cmd_compare, keys=())
 
     p = sub.add_parser("netinfo", help="network shape and parameter accounting")
     p.add_argument("which", choices=NETWORKS)
-    p.set_defaults(func=cmd_netinfo)
+    p.set_defaults(func=cmd_netinfo, keys=())
     return parser
 
 
@@ -220,7 +236,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = _load_config(args.config)
+        keys = EXTRACTOR_KEYS[args.extractor] if args.command == "features" else args.keys
+        cfg = _load_config(args.config, keys)
         return args.func(args, cfg)
     except (UnreadableFileError, UnsupportedEncodingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

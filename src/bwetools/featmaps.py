@@ -10,7 +10,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .nld import EmbeddingParams, _sizes, dfa_fluctuation, lyapunov_exponents, lyapunov_windows
 from .signal import Waveform, frame
-from .spectral import MagPhase, StftConfig, stft, to_mag_phase
+from .spectral import MagPhase, StftConfig, _mag_phase, _spectra
 
 __all__ = [
     "FeatureMapStack",
@@ -169,8 +169,11 @@ def mrad_mrpd_features(wf: Waveform, cfg: MultiResSpecConfig | None = None) -> l
 
     The magnitude grids feed the amplitude discriminator, the phase grids the
     phase discriminator. Grids are truncated to the requested bin count.
+    Resolutions whose effective settings (`resolution_params`) are equal
+    share one MagPhase, analysed once, a block of frames at a time.
     """
     cfg = cfg or MultiResSpecConfig()
+    grids = {}  # n_fft is 2 * freq_bins, so the StftConfig fixes the bin count too
     out = []
     for res in resolution_params(cfg):
         stft_cfg = StftConfig(
@@ -178,13 +181,8 @@ def mrad_mrpd_features(wf: Waveform, cfg: MultiResSpecConfig | None = None) -> l
             win_length=res["win_length"],
             hop=res["hop"],
         )
-        mp = to_mag_phase(stft(wf, stft_cfg))
-        out.append(
-            MagPhase(
-                mp.mag[: res["freq_bins"]],
-                mp.phase[: res["freq_bins"]],
-                stft_cfg,
-                mp.n_samples,
-            )
-        )
+        if stft_cfg not in grids:
+            mag, phase = _mag_phase(*_spectra(wf.samples, stft_cfg), res["freq_bins"])
+            grids[stft_cfg] = MagPhase(mag, phase, stft_cfg, len(wf))
+        out.append(grids[stft_cfg])
     return out

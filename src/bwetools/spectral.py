@@ -34,6 +34,9 @@ __all__ = [
 ]
 
 EPS_MAG = 1e-5  # floor added to |X| before the log magnitude
+# frames per analysis block, so that a block's temporaries stay in cache
+# (32 to 128 time alike, 256 is slower)
+_BLOCK = 64
 
 
 def _hann(m: int) -> np.ndarray:
@@ -130,7 +133,16 @@ def stft(wf: Waveform, cfg: StftConfig | None = None) -> ComplexSpectrogram:
     """One-sided STFT; with center=True the signal is zero-padded by
     n_fft//2 on both ends so frame t is centered on sample t*hop."""
     cfg = cfg or StftConfig()
-    x = wf.samples
+    n_frames, blocks = _spectra(wf.samples, cfg)
+    grid = np.empty((n_frames, cfg.n_bins), dtype=np.complex128)
+    for rows, spectra in blocks:
+        grid[rows] = spectra
+    return ComplexSpectrogram(grid.T, cfg, n_samples=len(wf))
+
+
+def _spectra(x: np.ndarray, cfg: StftConfig):
+    """Frame count of the analysis of samples x, and an iterator of (rows,
+    rfft of the windowed frames in rows) pairs, _BLOCK frames at a time."""
     if cfg.center:
         x = np.pad(x, (cfg.n_fft // 2, cfg.n_fft // 2))
     if x.size < cfg.n_fft:
@@ -138,8 +150,12 @@ def stft(wf: Waveform, cfg: StftConfig | None = None) -> ComplexSpectrogram:
             f"signal too short for one frame ({x.size} < {cfg.n_fft})"
         )
     frames = sliding_window_view(x, cfg.n_fft)[:: cfg.hop]
-    spec = np.fft.rfft(frames * cfg.window_array(), axis=1).T
-    return ComplexSpectrogram(spec, cfg, n_samples=len(wf))
+    win = cfg.window_array()
+    blocks = (
+        (slice(s, s + _BLOCK), np.fft.rfft(frames[s : s + _BLOCK] * win, axis=1))
+        for s in range(0, len(frames), _BLOCK)
+    )
+    return len(frames), blocks
 
 
 def istft(spec: ComplexSpectrogram, rate: int = 1) -> Waveform:
@@ -177,9 +193,21 @@ def _canonical_phase(phase: np.ndarray) -> np.ndarray:
 
 def to_mag_phase(spec: ComplexSpectrogram) -> MagPhase:
     """Split a complex grid into log(|X| + EPS_MAG) and phase."""
-    mag = np.log(np.abs(spec.data) + EPS_MAG)
-    phase = np.where(spec.data == 0, 0.0, _canonical_phase(np.angle(spec.data)))
+    z = spec.data.T
+    blocks = ((slice(s, s + _BLOCK), z[s : s + _BLOCK]) for s in range(0, len(z), _BLOCK))
+    mag, phase = _mag_phase(len(z), blocks, spec.config.n_bins)
     return MagPhase(mag, phase, spec.config, spec.n_samples)
+
+
+def _mag_phase(n_frames: int, blocks, bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bins, n_frames) log-magnitude and phase grids of the first `bins`
+    bins of complex (rows, spectra) blocks, computed one block at a time."""
+    mag = np.empty((n_frames, bins))
+    phase = np.empty((n_frames, bins))
+    for rows, z in blocks:
+        mag[rows] = np.log(np.abs(z) + EPS_MAG)[:, :bins]
+        phase[rows] = np.where(z == 0, 0.0, _canonical_phase(np.angle(z)))[:, :bins]
+    return mag.T, phase.T
 
 
 def phase_from_ri(real_part: np.ndarray, imag_part: np.ndarray) -> np.ndarray:

@@ -227,6 +227,31 @@ class TestConfig:
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize(
+        "command, config",
+        [
+            (["degrade", "{clip}", "8000", "{out}/o.wav"], {"low_rate": 8000}),
+            (["features", "{clip}", "mrld", "{out}"], {"windows": [64, 128]}),
+            (["features", "{clip}", "msdfa", "{out}"], {"scales": [100], "side": 4}),
+            (["features", "{clip}", "mrad_mrpd", "{out}"], {}),
+            (["features", "{clip}", "rp", "{out}"], {"max_size": 16}),
+            (["features", "{clip}", "poincare", "{out}"], {}),
+            (["compare", "{clip}", "{clip}"], {}),
+            (["netinfo", "mrld"], {}),
+        ],
+    )
+    def test_config_keys_checked(self, clip_path, tmp_path, capsys, command, config):
+        argv = [a.format(clip=clip_path, out=tmp_path) for a in command]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert main(["--config", str(cfg), *argv]) == EXIT_OK
+        # a key the command does not read: a misspelt one, or another extractor's
+        unread = "windowz" if "windows" in config else "windows"
+        cfg.write_text(json.dumps({**config, unread: [64]}))
+        capsys.readouterr()
+        assert main(["--config", str(cfg), *argv]) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
+
     def test_bad_config(self, clip_path, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json")

@@ -15,7 +15,7 @@ from bwetools.featmaps import (
 )
 from bwetools.nld import dfa_exponent, dfa_fluctuation
 from bwetools.signal import Waveform
-from bwetools.spectral import EPS_MAG
+from bwetools.spectral import EPS_MAG, StftConfig, stft, to_mag_phase
 from conftest import logistic_orbit
 
 
@@ -157,6 +157,27 @@ class TestMradMrpd:
         expected = round(1000 / (48000 / n_fft_2))
         energy = np.exp(2 * grids[1].mag).mean(axis=1)
         assert np.argmax(energy) == expected
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            MultiResSpecConfig(),
+            # the last resolution clamps to the settings of the one before it
+            MultiResSpecConfig((64, 32, 64, 64, 64), (16, 8, 32, 16, 16), (64, 64, 64, 128, 256)),
+        ],
+    )
+    @pytest.mark.parametrize("n", [1, 3000, 48000 + 17])
+    def test_matches_each_resolution(self, cfg, n):
+        wf = Waveform(np.random.default_rng(n).standard_normal(n), 48000)
+        params, grids = resolution_params(cfg), mrad_mrpd_features(wf, cfg)
+        assert len(grids) == len(params)
+        for res, mp in zip(params, grids):
+            stft_cfg = StftConfig(n_fft=res["n_fft"], win_length=res["win_length"], hop=res["hop"])
+            full = to_mag_phase(stft(wf, stft_cfg))
+            bins = res["freq_bins"]
+            assert np.array_equal(mp.mag, full.mag[:bins])
+            assert np.array_equal(mp.phase, full.phase[:bins])
+            assert (mp.config, mp.n_samples) == (stft_cfg, n)
 
     def test_clamps_recorded(self):
         params = resolution_params(MultiResSpecConfig())

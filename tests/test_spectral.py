@@ -8,7 +8,8 @@ from scipy.signal import check_COLA
 from scipy.signal.windows import hann
 
 from bwetools.errors import InvalidArgumentError
-from bwetools.signal import Waveform
+from bwetools.demo import synthetic_speech
+from bwetools.signal import Waveform, degrade
 from bwetools.spectral import (
     EPS_MAG,
     ComplexSpectrogram,
@@ -23,7 +24,8 @@ from bwetools.spectral import (
     write_csv,
     write_f32,
 )
-from bwetools.spectral import _CSV_CHUNK, _hann, _is_cola, _median
+from bwetools.metrics import LSD_CONFIG, lsd
+from bwetools.spectral import _BLOCK, _CSV_CHUNK, _hann, _is_cola, _median
 
 
 class TestStftConfig:
@@ -136,6 +138,75 @@ def reference_stft(wf, cfg):
     starts = cfg.hop * np.arange(1 + (x.size - cfg.n_fft) // cfg.hop)
     frames = x[starts[:, None] + np.arange(cfg.n_fft)[None, :]]
     return np.fft.rfft(frames * cfg.window_array(), axis=1).T
+
+
+def reference_lsd(ref, est):
+    """One-shot LSD over full grids, the frame-block `metrics.lsd` must match
+    bit for bit."""
+    n = min(len(ref), len(est))
+    cfg = StftConfig(n_fft=LSD_CONFIG["n_fft"], win_length=LSD_CONFIG["n_fft"], hop=LSD_CONFIG["hop"])
+    eps = LSD_CONFIG["eps"]
+    p_ref = np.abs(reference_stft(Waveform(ref.samples[:n], ref.rate), cfg)) ** 2 + eps
+    p_est = np.abs(reference_stft(Waveform(est.samples[:n], ref.rate), cfg)) ** 2 + eps
+    diff = 10.0 * np.log10(p_ref / p_est)
+    return float(np.mean(np.sqrt(np.mean(diff**2, axis=0))))
+
+
+def reference_mag_phase(z):
+    """One-shot log-magnitude and phase of a complex grid."""
+    angle = np.angle(z)
+    phase = np.where(z == 0, 0.0, np.where(angle <= -np.pi, np.pi, angle))
+    return np.log(np.abs(z) + EPS_MAG), phase
+
+
+# frame counts around the analysis block: one frame, part of a block, whole
+# blocks, and whole blocks plus one frame
+BLOCK_FRAMES = [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1]
+
+
+class TestFrameBlocks:
+    @given(
+        frames=st.sampled_from(BLOCK_FRAMES),
+        extra=st.integers(0, LSD_CONFIG["hop"] - 1),
+        noise=st.sampled_from([0.0, 1e-3, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lsd_matches_one_shot(self, frames, extra, noise, seed):
+        # centered frames: a clip of n samples has 1 + n // hop of them
+        n = LSD_CONFIG["hop"] * (frames - 1) + extra
+        rng = np.random.default_rng(seed)
+        ref = Waveform(rng.standard_normal(n), 16000)
+        est = Waveform(ref.samples + noise * rng.standard_normal(n), 16000)
+        assert lsd(ref, est) == reference_lsd(ref, est)
+
+    def test_lsd_overflow_raises(self):
+        clip = synthetic_speech(1.0, seed=3)
+        loud = Waveform(1e306 * clip.samples, clip.rate)
+        with pytest.raises(InvalidArgumentError), np.errstate(over="ignore"):
+            lsd(loud, Waveform(1e306 * degrade(clip, 16000).samples, clip.rate))
+
+    @pytest.mark.parametrize("n", [0, 1, 100, LSD_CONFIG["n_fft"] - 1])
+    def test_lsd_shorter_than_a_frame(self, n):
+        # centering pads every clip to at least one frame, so none is too short
+        rng = np.random.default_rng(5)
+        ref, est = Waveform(rng.standard_normal(n), 16000), Waveform(rng.standard_normal(n), 16000)
+        assert lsd(ref, est) == reference_lsd(ref, est)
+
+    @given(frames=st.sampled_from(BLOCK_FRAMES), fortran=st.booleans(), seed=st.integers(0, 2**16))
+    @settings(max_examples=30, deadline=None)
+    def test_mag_phase_matches_one_shot(self, frames, fortran, seed):
+        rng = np.random.default_rng(seed)
+        z = rng.standard_normal((33, frames)) + 1j * rng.standard_normal((33, frames))
+        z[rng.random(z.shape) < 0.2] = 0
+        z[rng.random(z.shape) < 0.1] = complex(-0.0, -0.0)
+        z[rng.random(z.shape) < 0.2] = complex(-1.0, -0.0)  # angle -pi, mapped to +pi
+        z[0, 0] = complex(-1.0, -0.0)
+        spec = ComplexSpectrogram(np.asfortranarray(z) if fortran else z, StftConfig(64, 64, 16))
+        mag, phase = reference_mag_phase(spec.data)
+        mp = to_mag_phase(spec)
+        assert np.array_equal(mp.mag, mag) and np.array_equal(mp.phase, phase)
+        assert mp.phase[0, 0] == np.pi
 
 
 class TestStftOracle:
