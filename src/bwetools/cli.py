@@ -48,7 +48,7 @@ def _emit(doc: dict) -> None:
 
 def _load_config(path: str | None, keys: tuple) -> dict:
     """The flat JSON object at path ({} without one); a key outside `keys`,
-    the ones the chosen command reads, is an error."""
+    the ones the chosen command accepts, is an error."""
     if not path:
         return {}
     try:
@@ -63,7 +63,7 @@ def _load_config(path: str | None, keys: tuple) -> dict:
     unknown = sorted(set(cfg) - set(keys))
     if unknown:
         raise InvalidArgumentError(
-            f"config keys {unknown} are not read by this command (it reads {list(keys)})"
+            f"config keys {unknown} are not used by this command (it accepts {list(keys)})"
         )
     return cfg
 
@@ -146,21 +146,14 @@ def _poincare(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
     return {"extractor": "poincare", "sd1": desc.sd1, "sd2": desc.sd2, "clamped": desc.clamped}
 
 
-# extractor name -> (waveform, config, output directory) -> result document
+# extractor name -> ((waveform, config, output directory) -> result document,
+# the config keys it reads)
 EXTRACTORS = {
-    "mrld": _mrld,
-    "msdfa": _msdfa,
-    "mrad_mrpd": _mrad_mrpd,
-    "rp": _rp,
-    "poincare": _poincare,
-}
-# extractor name -> the config keys it reads
-EXTRACTOR_KEYS = {
-    "mrld": ("windows",),
-    "msdfa": ("scales", "side"),
-    "mrad_mrpd": (),
-    "rp": ("max_size",),
-    "poincare": (),
+    "mrld": (_mrld, ("windows",)),
+    "msdfa": (_msdfa, ("scales", "side")),
+    "mrad_mrpd": (_mrad_mrpd, ()),
+    "rp": (_rp, ("max_size",)),
+    "poincare": (_poincare, ()),
 }
 
 
@@ -168,7 +161,7 @@ def cmd_features(args, cfg: dict) -> int:
     wf = signal.load_wav(args.input)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = EXTRACTORS[args.extractor](wf, cfg, out_dir)
+    doc = EXTRACTORS[args.extractor][0](wf, cfg, out_dir)
     (out_dir / f"{args.extractor}_meta.json").write_text(_to_json(doc))
     _emit(doc)
     return EXIT_OK
@@ -209,23 +202,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("low_rate", type=int)
     p.add_argument("output")
-    # the positional low_rate always overrides the config's
-    p.set_defaults(func=cmd_degrade, keys=("low_rate",))
+    # low_rate is accepted and ignored: the positional rate is the one used
+    p.set_defaults(func=cmd_degrade, keys=lambda args: ("low_rate",))
 
     p = sub.add_parser("features", help="extract feature maps to CSV/f32 dumps")
     p.add_argument("input")
     p.add_argument("extractor", choices=EXTRACTORS)
     p.add_argument("out_dir")
-    p.set_defaults(func=cmd_features)
+    p.set_defaults(func=cmd_features, keys=lambda args: EXTRACTORS[args.extractor][1])
 
     p = sub.add_parser("compare", help="objective metrics for a reference/estimate pair")
     p.add_argument("reference")
     p.add_argument("estimate")
-    p.set_defaults(func=cmd_compare, keys=())
+    p.set_defaults(func=cmd_compare, keys=lambda args: ())
 
     p = sub.add_parser("netinfo", help="network shape and parameter accounting")
     p.add_argument("which", choices=NETWORKS)
-    p.set_defaults(func=cmd_netinfo, keys=())
+    p.set_defaults(func=cmd_netinfo, keys=lambda args: ())
     return parser
 
 
@@ -236,8 +229,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        keys = EXTRACTOR_KEYS[args.extractor] if args.command == "features" else args.keys
-        cfg = _load_config(args.config, keys)
+        cfg = _load_config(args.config, args.keys(args))
         return args.func(args, cfg)
     except (UnreadableFileError, UnsupportedEncodingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,9 +34,7 @@ __all__ = [
 ]
 
 EPS_MAG = 1e-5  # floor added to |X| before the log magnitude
-# frames per analysis block, so that a block's temporaries stay in cache
-# (32 to 128 time alike, 256 is slower)
-_BLOCK = 64
+_BLOCK = 64  # frames per analysis block, whose temporaries stay in cache (32-128 alike)
 
 
 def _hann(m: int) -> np.ndarray:
@@ -105,12 +103,18 @@ class ComplexSpectrogram:
             raise InvalidArgumentError(
                 f"expected (F={self.config.n_bins}, T) grid, got shape {data.shape}"
             )
-        if data.size and not np.all(np.isfinite(data)):
-            raise InvalidArgumentError("spectrogram entries must be finite")
+        _finite(data)
 
     @property
     def n_frames(self) -> int:
         return self.data.shape[1]
+
+
+def _finite(z: np.ndarray) -> np.ndarray:
+    """z, checked to hold only finite entries."""
+    if not np.all(np.isfinite(z)):
+        raise InvalidArgumentError("spectrogram entries must be finite")
+    return z
 
 
 @dataclass(frozen=True)
@@ -140,9 +144,16 @@ def stft(wf: Waveform, cfg: StftConfig | None = None) -> ComplexSpectrogram:
     return ComplexSpectrogram(grid.T, cfg, n_samples=len(wf))
 
 
+def _blocks(a: np.ndarray):
+    """(rows, a[rows]) for consecutive slices of _BLOCK rows of a."""
+    for s in range(0, len(a), _BLOCK):
+        yield slice(s, s + _BLOCK), a[s : s + _BLOCK]
+
+
 def _spectra(x: np.ndarray, cfg: StftConfig):
     """Frame count of the analysis of samples x, and an iterator of (rows,
-    rfft of the windowed frames in rows) pairs, _BLOCK frames at a time."""
+    rfft of the windowed frames in rows) pairs, _BLOCK frames at a time; a
+    block with a non-finite entry raises InvalidArgumentError."""
     if cfg.center:
         x = np.pad(x, (cfg.n_fft // 2, cfg.n_fft // 2))
     if x.size < cfg.n_fft:
@@ -151,11 +162,7 @@ def _spectra(x: np.ndarray, cfg: StftConfig):
         )
     frames = sliding_window_view(x, cfg.n_fft)[:: cfg.hop]
     win = cfg.window_array()
-    blocks = (
-        (slice(s, s + _BLOCK), np.fft.rfft(frames[s : s + _BLOCK] * win, axis=1))
-        for s in range(0, len(frames), _BLOCK)
-    )
-    return len(frames), blocks
+    return len(frames), ((rows, _finite(np.fft.rfft(f * win, axis=1))) for rows, f in _blocks(frames))
 
 
 def istft(spec: ComplexSpectrogram, rate: int = 1) -> Waveform:
@@ -194,8 +201,7 @@ def _canonical_phase(phase: np.ndarray) -> np.ndarray:
 def to_mag_phase(spec: ComplexSpectrogram) -> MagPhase:
     """Split a complex grid into log(|X| + EPS_MAG) and phase."""
     z = spec.data.T
-    blocks = ((slice(s, s + _BLOCK), z[s : s + _BLOCK]) for s in range(0, len(z), _BLOCK))
-    mag, phase = _mag_phase(len(z), blocks, spec.config.n_bins)
+    mag, phase = _mag_phase(len(z), _blocks(z), spec.config.n_bins)
     return MagPhase(mag, phase, spec.config, spec.n_samples)
 
 

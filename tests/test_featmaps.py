@@ -179,6 +179,12 @@ class TestMradMrpd:
             assert np.array_equal(mp.phase, full.phase[:bins])
             assert (mp.config, mp.n_samples) == (stft_cfg, n)
 
+    def test_overflow_raises(self):
+        # peak 1, so the samples are finite and the spectra overflow
+        loud = Waveform(1e307 * synthetic_speech(0.5, seed=3).samples, 48000)
+        with pytest.raises(InvalidArgumentError, match="finite"), np.errstate(all="ignore"):
+            mrad_mrpd_features(loud)
+
     def test_clamps_recorded(self):
         params = resolution_params(MultiResSpecConfig())
         assert [p["win_clamped"] for p in params] == [True, True, True]
