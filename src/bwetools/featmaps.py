@@ -10,7 +10,7 @@ import numpy as np
 from .errors import InvalidArgumentError
 from .nld import EmbeddingParams, _sizes, dfa_fluctuation, lyapunov_exponents, lyapunov_windows
 from .signal import Waveform, frame
-from .spectral import MagPhase, StftConfig, _mag_phase, _spectra
+from .spectral import MagPhase, StftConfig, _mag_phase, _per_frame
 
 __all__ = [
     "FeatureMapStack",
@@ -182,7 +182,8 @@ def mrad_mrpd_features(wf: Waveform, cfg: MultiResSpecConfig | None = None) -> l
             hop=res["hop"],
         )
         if stft_cfg not in grids:
-            mag, phase = _mag_phase(*_spectra(wf.samples, stft_cfg), res["freq_bins"])
-            grids[stft_cfg] = MagPhase(mag, phase, stft_cfg, len(wf))
+            bins = res["freq_bins"]
+            rows = _per_frame(lambda z: np.stack(_mag_phase(z[:, :bins]), 1), stft_cfg, wf.samples)
+            grids[stft_cfg] = MagPhase(*rows.transpose(1, 2, 0), stft_cfg, len(wf))
         out.append(grids[stft_cfg])
     return out

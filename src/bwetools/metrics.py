@@ -11,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError
 from .signal import ResampleConfig, Waveform, peak_exponent, resample
-from .spectral import StftConfig, _spectra, stft
+from .spectral import StftConfig, _per_frame
 
 __all__ = ["MetricReport", "lsd", "si_sdr", "si_snr", "stoi", "evaluate"]
 
@@ -65,17 +65,16 @@ def lsd(ref: Waveform, est: Waveform) -> float:
     `synthetic_speech(1.0, seed=3)` against its `degrade(..., 16000)`, gains
     2**-20, 1 and 2**20 give 0.094, 73.6 and 81.4 dB, 1e-200 gives 0.0 and
     1e200 gives NaN (both powers overflow). A spectrum that overflows (at
-    1e306) raises InvalidArgumentError. Frames are analysed a block at a time."""
+    1e306) raises InvalidArgumentError. Each block of frames becomes per-frame RMS."""
     r, e = _aligned(ref, est)
     cfg = StftConfig(n_fft=LSD_CONFIG["n_fft"], win_length=LSD_CONFIG["n_fft"], hop=LSD_CONFIG["hop"])
     eps = LSD_CONFIG["eps"]
-    n_frames, ref_blocks = _spectra(r, cfg)
-    _, est_blocks = _spectra(e, cfg)
-    rms = np.empty(n_frames)
-    for (rows, x), (_, y) in zip(ref_blocks, est_blocks):
+
+    def frame_rms(x, y):
         diff = 10.0 * np.log10((np.abs(x) ** 2 + eps) / (np.abs(y) ** 2 + eps))
-        rms[rows] = np.sqrt(np.mean(diff**2, axis=1))
-    return float(np.mean(rms))
+        return np.sqrt(np.mean(diff**2, axis=1))
+
+    return float(np.mean(_per_frame(frame_rms, cfg, r, e)))
 
 
 def _unit_peak(x: np.ndarray) -> np.ndarray:
@@ -119,8 +118,12 @@ def si_snr(ref: Waveform, est: Waveform) -> float:
 
     In dB on a 1e-9 dB grid, clipped to +/-SI_CAP_DB. Scaling ``ref`` or
     ``est`` by any positive factor returns exactly the same float, unless the
-    true value lies within a few ULP of a grid point's rounding boundary."""
+    true value lies within a few ULP of a grid point's rounding boundary.
+    A constant reference (a DC clip, or any 1-sample clip) is all zero after
+    mean-centering, so it raises InvalidArgumentError saying so."""
     r, e = _aligned(ref, est)
+    if np.all(r == r[:1]):  # checked before centering, whose mean may be inexact
+        raise InvalidArgumentError("reference signal is constant, so all zero after mean-centering")
     return _si_ratio(r - r.mean(), e - e.mean())
 
 
@@ -146,8 +149,8 @@ def stoi(ref: Waveform, est: Waveform) -> float:
     Each signal is first scaled by a power of two to a peak in [0.5, 1), so
     scaling either input by 2**k gives exactly the same score, and the two
     1e-12 floors (on the estimate's envelope norm and on the correlation
-    denominator) act on those peak-normalised signals.
-    """
+    denominator) act on those peak-normalised signals. Both signals' power
+    spectra come a block of frames at a time; no complex grid is built."""
     c = STOI_CONFIG
     if ref.rate != est.rate:
         raise InvalidArgumentError(f"rate mismatch: {ref.rate} vs {est.rate}")
@@ -164,24 +167,23 @@ def stoi(ref: Waveform, est: Waveform) -> float:
     x, y = x[:n], y[:n]
 
     cfg = StftConfig(n_fft=c["n_fft"], win_length=c["n_fft"], hop=c["hop"], center=False)
-    spec_x = stft(Waveform(x, c["rate"]), cfg).data
-    spec_y = stft(Waveform(y, c["rate"]), cfg).data
+    # both signals' (F, T) power grids
+    power = _per_frame(lambda u, v: np.abs(np.stack((u, v), axis=1)) ** 2, cfg, x, y)
+    power_x, power_y = power.transpose(1, 2, 0)
 
     # energy-based silent-frame removal, synchronized on the reference
-    frame_energy = np.sum(np.abs(spec_x) ** 2, axis=0)
+    frame_energy = np.sum(power_x, axis=0)
     peak = frame_energy.max()
     if peak <= 0:
         raise InvalidArgumentError("reference contains no energy")
     keep = frame_energy > peak * 10.0 ** (-c["dyn_range_db"] / 10.0)
-    spec_x = spec_x[:, keep]
-    spec_y = spec_y[:, keep]
     seg = c["segment_frames"]
-    if spec_x.shape[1] < seg:
+    if np.count_nonzero(keep) < seg:
         raise InvalidArgumentError("too few active frames for a 30-frame segment")
 
     bands = _third_octave_bands(c["rate"], c["n_fft"], c["n_bands"], c["first_center_hz"])
-    env_x = np.sqrt(bands.astype(float) @ (np.abs(spec_x) ** 2))
-    env_y = np.sqrt(bands.astype(float) @ (np.abs(spec_y) ** 2))
+    env_x = np.sqrt(bands.astype(float) @ power_x[:, keep])
+    env_y = np.sqrt(bands.astype(float) @ power_y[:, keep])
 
     # (segments, bands, seg): every 30-frame reduction runs along the last,
     # contiguous axis, and the correlations come out segment-major

@@ -375,24 +375,12 @@ def generator_forward(
 def describe_net(net: NetDescriptor) -> dict:
     """netinfo document: layer table, totals, and the cost ratio versus the
     equivalent standard convolutions."""
-    layers = []
-    dsc_total = 0
-    standard_total = 0
-    for conv in net.conv_layers():
-        n = conv_params(conv)
-        layers.append(
-            {
-                "kind": conv.kind,
-                "dims": conv.dims,
-                "kernel": conv.kernel,
-                "stride": conv.stride,
-                "c_in": conv.c_in,
-                "c_out": conv.c_out,
-                "params": n,
-            }
-        )
-        dsc_total += n
-        standard_total += conv_params(replace(conv, kind="standard"))
+    convs = net.conv_layers()
+    layers = [dict(asdict(c), params=conv_params(c)) for c in convs]
+    for row in layers:
+        del row["bias"]
+    dsc_total = sum(row["params"] for row in layers)
+    standard_total = sum(conv_params(replace(c, kind="standard")) for c in convs)
     return {
         "name": net.name,
         "layers": layers,

@@ -137,32 +137,26 @@ def stft(wf: Waveform, cfg: StftConfig | None = None) -> ComplexSpectrogram:
     """One-sided STFT; with center=True the signal is zero-padded by
     n_fft//2 on both ends so frame t is centered on sample t*hop."""
     cfg = cfg or StftConfig()
-    n_frames, blocks = _spectra(wf.samples, cfg)
-    grid = np.empty((n_frames, cfg.n_bins), dtype=np.complex128)
-    for rows, spectra in blocks:
-        grid[rows] = spectra
-    return ComplexSpectrogram(grid.T, cfg, n_samples=len(wf))
+    return ComplexSpectrogram(_per_frame(lambda z: z, cfg, wf.samples).T, cfg, n_samples=len(wf))
 
 
-def _blocks(a: np.ndarray):
-    """(rows, a[rows]) for consecutive slices of _BLOCK rows of a."""
-    for s in range(0, len(a), _BLOCK):
-        yield slice(s, s + _BLOCK), a[s : s + _BLOCK]
-
-
-def _spectra(x: np.ndarray, cfg: StftConfig):
-    """Frame count of the analysis of samples x, and an iterator of (rows,
-    rfft of the windowed frames in rows) pairs, _BLOCK frames at a time; a
-    block with a non-finite entry raises InvalidArgumentError."""
-    if cfg.center:
-        x = np.pad(x, (cfg.n_fft // 2, cfg.n_fft // 2))
-    if x.size < cfg.n_fft:
-        raise InvalidArgumentError(
-            f"signal too short for one frame ({x.size} < {cfg.n_fft})"
-        )
-    frames = sliding_window_view(x, cfg.n_fft)[:: cfg.hop]
+def _per_frame(fn, cfg: StftConfig, *signals: np.ndarray) -> np.ndarray:
+    """fn's rows for every analysis frame of the equal-length sample arrays
+    `signals`, stacked along axis 0. fn gets the rfft of each signal's
+    windowed frames, _BLOCK frames at a time, and returns one row per frame;
+    a block with a non-finite entry raises InvalidArgumentError."""
+    pad = cfg.n_fft // 2 if cfg.center else 0
+    padded = signals[0].size + 2 * pad
+    if padded < cfg.n_fft:
+        raise InvalidArgumentError(f"signal too short for one frame ({padded} < {cfg.n_fft})")
+    frames = [sliding_window_view(np.pad(x, pad), cfg.n_fft)[:: cfg.hop] for x in signals]
     win = cfg.window_array()
-    return len(frames), ((rows, _finite(np.fft.rfft(f * win, axis=1))) for rows, f in _blocks(frames))
+    for s in range(0, len(frames[0]), _BLOCK):
+        rows = fn(*(_finite(np.fft.rfft(f[s : s + _BLOCK] * win, axis=1)) for f in frames))
+        if s == 0:
+            out = np.empty((len(frames[0]), *rows.shape[1:]), rows.dtype)
+        out[s : s + _BLOCK] = rows
+    return out
 
 
 def istft(spec: ComplexSpectrogram, rate: int = 1) -> Waveform:
@@ -193,27 +187,18 @@ def istft(spec: ComplexSpectrogram, rate: int = 1) -> Waveform:
     return Waveform(out, rate)
 
 
-def _canonical_phase(phase: np.ndarray) -> np.ndarray:
-    # map the -pi branch (from atan2 on negative-zero imaginary parts) to +pi
-    return np.where(phase <= -np.pi, np.pi, phase)
-
-
 def to_mag_phase(spec: ComplexSpectrogram) -> MagPhase:
     """Split a complex grid into log(|X| + EPS_MAG) and phase."""
     z = spec.data.T
-    mag, phase = _mag_phase(len(z), _blocks(z), spec.config.n_bins)
-    return MagPhase(mag, phase, spec.config, spec.n_samples)
+    mag, phase = np.empty(z.shape), np.empty(z.shape)
+    for s in range(0, len(z), _BLOCK):
+        mag[s : s + _BLOCK], phase[s : s + _BLOCK] = _mag_phase(z[s : s + _BLOCK])
+    return MagPhase(mag.T, phase.T, spec.config, spec.n_samples)
 
 
-def _mag_phase(n_frames: int, blocks, bins: int) -> tuple[np.ndarray, np.ndarray]:
-    """(bins, n_frames) log-magnitude and phase grids of the first `bins`
-    bins of complex (rows, spectra) blocks, computed one block at a time."""
-    mag = np.empty((n_frames, bins))
-    phase = np.empty((n_frames, bins))
-    for rows, z in blocks:
-        mag[rows] = np.log(np.abs(z) + EPS_MAG)[:, :bins]
-        phase[rows] = np.where(z == 0, 0.0, _canonical_phase(np.angle(z)))[:, :bins]
-    return mag.T, phase.T
+def _mag_phase(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log(|z| + EPS_MAG) and the phase of complex z."""
+    return np.log(np.abs(z) + EPS_MAG), phase_from_ri(z.real, z.imag)
 
 
 def phase_from_ri(real_part: np.ndarray, imag_part: np.ndarray) -> np.ndarray:
@@ -223,8 +208,8 @@ def phase_from_ri(real_part: np.ndarray, imag_part: np.ndarray) -> np.ndarray:
     if r.shape != i.shape:
         raise InvalidArgumentError(f"shape mismatch {r.shape} vs {i.shape}")
     phase = np.arctan2(i, r)
-    phase = np.where((r == 0) & (i == 0), 0.0, phase)
-    return _canonical_phase(phase)
+    # the -pi branch (atan2 of a negative-zero imaginary part) maps to +pi
+    return np.where((r == 0) & (i == 0), 0.0, np.where(phase <= -np.pi, np.pi, phase))
 
 
 def synthesize(mp: MagPhase) -> ComplexSpectrogram:

@@ -170,6 +170,15 @@ class TestNonFiniteResults:
         assert main(["compare", str(clip_path), str(silent)]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["stoi"] == 0.0
 
+    def test_constant_reference_is_usage_error(self, clip_path, tmp_path, capsys):
+        dc = tmp_path / "dc.wav"
+        wf = load_wav(clip_path)
+        save_wav(dc, Waveform(np.full(len(wf), 0.5), wf.rate))
+        assert main(["compare", str(dc), str(clip_path)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "reference signal is constant" in captured.err
+
     def test_nan_metric_is_usage_error(self, clip_path, capsys, monkeypatch):
         monkeypatch.setattr(metrics, "stoi", lambda ref, est: float("nan"))
         assert main(["compare", str(clip_path), str(clip_path)]) == EXIT_USAGE

@@ -18,7 +18,8 @@ from bwetools.metrics import (
     stoi,
 )
 from bwetools.signal import Waveform, degrade, resample
-from bwetools.spectral import StftConfig, stft
+from bwetools.spectral import StftConfig
+from test_spectral import BLOCK_FRAMES, reference_stft
 
 
 def noise_wave(n, seed=0, rate=16000):
@@ -85,6 +86,14 @@ class TestSiMetrics:
         z = Waveform(np.zeros(100), 16000)
         with pytest.raises(InvalidArgumentError):
             si_sdr(z, noise_wave(100))
+
+    @pytest.mark.parametrize(
+        "ref", [np.full(16000, 0.5), np.full(16000, 0.1), np.ones(1)], ids=["dc", "dc_inexact_mean", "one_sample"]
+    )
+    def test_constant_reference_si_snr(self, ref):
+        # not an all-zero reference: it is zero only after mean-centering
+        with pytest.raises(InvalidArgumentError, match="constant, so all zero after mean-centering"):
+            si_snr(Waveform(ref, 16000), noise_wave(ref.size))
 
     def test_silent_estimate_floor(self):
         ref = noise_wave(16000, seed=8)
@@ -180,8 +189,8 @@ def reference_stoi(ref, est):
     y = resample(est, c["rate"]).samples
     n = min(x.size, y.size)
     cfg = StftConfig(n_fft=c["n_fft"], win_length=c["n_fft"], hop=c["hop"], center=False)
-    spec_x = stft(Waveform(x[:n], c["rate"]), cfg).data
-    spec_y = stft(Waveform(y[:n], c["rate"]), cfg).data
+    spec_x = reference_stft(Waveform(x[:n], c["rate"]), cfg)
+    spec_y = reference_stft(Waveform(y[:n], c["rate"]), cfg)
     frame_energy = np.sum(np.abs(spec_x) ** 2, axis=0)
     keep = frame_energy > frame_energy.max() * 10.0 ** (-c["dyn_range_db"] / 10.0)
     bands = _third_octave_bands(c["rate"], c["n_fft"], c["n_bands"], c["first_center_hz"])
@@ -220,6 +229,16 @@ class TestStoiOracle:
             est = Waveform(np.zeros(len(ref)), rate)
         else:
             est = Waveform(base.samples + noise * np.random.default_rng(seed).standard_normal(len(ref)), rate)
+        assert stoi(ref, est) == reference_stoi(ref, est)
+
+    @pytest.mark.parametrize("frames", [f for f in BLOCK_FRAMES if f >= STOI_CONFIG["segment_frames"]])
+    @pytest.mark.parametrize("extra", [0, STOI_CONFIG["hop"] - 1])
+    def test_matches_at_block_boundaries(self, frames, extra):
+        # uncentered 10 kHz frames: a clip of n samples has 1 + (n - n_fft) // hop of them
+        c = STOI_CONFIG
+        n = c["n_fft"] + c["hop"] * (frames - 1) + extra
+        ref = Waveform(synthetic_speech(duration=3.5, rate=c["rate"], seed=frames).samples[:n], c["rate"])
+        est = Waveform(ref.samples + 0.1 * np.random.default_rng(extra).standard_normal(n), c["rate"])
         assert stoi(ref, est) == reference_stoi(ref, est)
 
 
