@@ -68,13 +68,6 @@ def _load_config(path: str | None, keys: tuple) -> dict:
     return cfg
 
 
-def _int_option(cfg: dict, key: str, default: int) -> int:
-    value = cfg.get(key, default)
-    if type(value) is not int:
-        raise InvalidArgumentError(f"config {key!r} must be an integer, got {value!r}")
-    return value
-
-
 def cmd_degrade(args, cfg: dict) -> int:
     wf = signal.load_wav(args.input)
     out = signal.degrade(wf, args.low_rate)
@@ -97,7 +90,7 @@ def _export(out_dir: Path, grids: dict, f32: bool = True) -> list[str]:
     return [f"{name}.csv" for name in grids]
 
 
-def _write_stack(stack: featmaps.FeatureMapStack, out_dir: Path, name: str) -> dict:
+def _write_stack(name: str, stack: featmaps.FeatureMapStack, out_dir: Path) -> dict:
     grids = {f"{name}_ch{c}": stack.data[c] for c in range(stack.channels)}
     return {
         "extractor": name,
@@ -107,61 +100,49 @@ def _write_stack(stack: featmaps.FeatureMapStack, out_dir: Path, name: str) -> d
     }
 
 
-def _mrld(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
-    windows = cfg.get("windows", featmaps.DEFAULT_LYAPUNOV_WINDOWS)
-    return _write_stack(featmaps.mrld_features(wf, windows), out_dir, "mrld")
-
-
-def _msdfa(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
-    scales = cfg.get("scales", featmaps.DEFAULT_DFA_SCALES)
-    side = _int_option(cfg, "side", 64)
-    return _write_stack(featmaps.msdfa_features(wf, scales, side), out_dir, "msdfa")
-
-
-def _mrad_mrpd(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
-    mr_cfg = featmaps.MultiResSpecConfig()
+def _write_mrad_mrpd(name: str, mag_phases: list, out_dir: Path) -> dict:
     grids = {}
-    for r, mp in enumerate(featmaps.mrad_mrpd_features(wf, mr_cfg)):
-        grids[f"mrad_mrpd_res{r}_mag"] = mp.mag
-        grids[f"mrad_mrpd_res{r}_phase"] = mp.phase
+    for r, mp in enumerate(mag_phases):
+        grids[f"{name}_res{r}_mag"] = mp.mag
+        grids[f"{name}_res{r}_phase"] = mp.phase
     return {
-        "extractor": "mrad_mrpd",
-        "resolutions": featmaps.resolution_params(mr_cfg),
+        "extractor": name,
+        "resolutions": featmaps.resolution_params(featmaps.MultiResSpecConfig()),
         "files": _export(out_dir, grids),
     }
 
 
-def _rp(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
-    plot = nld.recurrence_plot(wf.samples, _int_option(cfg, "max_size", 512))
+def _write_rp(name: str, plot: nld.RecurrencePlot, out_dir: Path) -> dict:
     return {
-        "extractor": "rp",
+        "extractor": name,
         "shape": list(plot.matrix.shape),
         "threshold": plot.threshold,
         "files": _export(out_dir, {"recurrence": plot.matrix}, f32=False),
     }
 
 
-def _poincare(wf: signal.Waveform, cfg: dict, out_dir: Path) -> dict:
-    desc = nld.poincare_sd(wf.samples)
-    return {"extractor": "poincare", "sd1": desc.sd1, "sd2": desc.sd2, "clamped": desc.clamped}
+def _write_poincare(name: str, desc: nld.PoincareDescriptors, out_dir: Path) -> dict:
+    return {"extractor": name, "sd1": desc.sd1, "sd2": desc.sd2, "clamped": desc.clamped}
 
 
-# extractor name -> ((waveform, config, output directory) -> result document,
-# the config keys it reads)
+# extractor name -> ((waveform, **config) -> features, (name, features, out_dir)
+# -> result document, config keys: the library function's keyword names, which
+# it defaults and checks). Each call looks the library function up anew.
 EXTRACTORS = {
-    "mrld": (_mrld, ("windows",)),
-    "msdfa": (_msdfa, ("scales", "side")),
-    "mrad_mrpd": (_mrad_mrpd, ()),
-    "rp": (_rp, ("max_size",)),
-    "poincare": (_poincare, ()),
+    "mrld": (lambda wf, **cfg: featmaps.mrld_features(wf, **cfg), _write_stack, ("windows",)),
+    "msdfa": (lambda wf, **cfg: featmaps.msdfa_features(wf, **cfg), _write_stack, ("scales", "side")),
+    "mrad_mrpd": (lambda wf, **cfg: featmaps.mrad_mrpd_features(wf, **cfg), _write_mrad_mrpd, ()),
+    "rp": (lambda wf, **cfg: nld.recurrence_plot(wf.samples, **cfg), _write_rp, ("max_size",)),
+    "poincare": (lambda wf, **cfg: nld.poincare_sd(wf.samples, **cfg), _write_poincare, ()),
 }
 
 
 def cmd_features(args, cfg: dict) -> int:
-    wf = signal.load_wav(args.input)
+    features, write, _ = EXTRACTORS[args.extractor]
+    result = features(signal.load_wav(args.input), **cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    doc = EXTRACTORS[args.extractor][0](wf, cfg, out_dir)
+    doc = write(args.extractor, result, out_dir)
     (out_dir / f"{args.extractor}_meta.json").write_text(_to_json(doc))
     _emit(doc)
     return EXIT_OK
@@ -195,30 +176,33 @@ def build_parser() -> argparse.ArgumentParser:
         "simulation, nonlinear-dynamics feature maps, objective metrics, "
         "and network shape inspection.",
     )
-    parser.add_argument("--config", help="flat JSON config file; flags override its values")
+    parser.add_argument(
+        "--config",
+        help="flat JSON object of keyword arguments for the features extractor; "
+        "sizes must be integral numbers, and an unset key takes the library default",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("degrade", help="bandlimit a WAV through a lower sample rate")
     p.add_argument("input")
     p.add_argument("low_rate", type=int)
     p.add_argument("output")
-    # low_rate is accepted and ignored: the positional rate is the one used
-    p.set_defaults(func=cmd_degrade, keys=lambda args: ("low_rate",))
+    p.set_defaults(func=cmd_degrade)
 
     p = sub.add_parser("features", help="extract feature maps to CSV/f32 dumps")
     p.add_argument("input")
     p.add_argument("extractor", choices=EXTRACTORS)
     p.add_argument("out_dir")
-    p.set_defaults(func=cmd_features, keys=lambda args: EXTRACTORS[args.extractor][1])
+    p.set_defaults(func=cmd_features)
 
     p = sub.add_parser("compare", help="objective metrics for a reference/estimate pair")
     p.add_argument("reference")
     p.add_argument("estimate")
-    p.set_defaults(func=cmd_compare, keys=lambda args: ())
+    p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("netinfo", help="network shape and parameter accounting")
     p.add_argument("which", choices=NETWORKS)
-    p.set_defaults(func=cmd_netinfo, keys=lambda args: ())
+    p.set_defaults(func=cmd_netinfo)
     return parser
 
 
@@ -229,7 +213,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = _load_config(args.config, args.keys(args))
+        keys = EXTRACTORS[args.extractor][2] if args.command == "features" else ()
+        cfg = _load_config(args.config, keys)
         return args.func(args, cfg)
     except (UnreadableFileError, UnsupportedEncodingError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .nld import EmbeddingParams, _sizes, dfa_fluctuation, lyapunov_exponents, lyapunov_windows
+from .nld import EmbeddingParams, _size, _sizes, dfa_fluctuation, lyapunov_exponents, lyapunov_windows
 from .signal import Waveform, frame
 from .spectral import MagPhase, StftConfig, _mag_phase, _per_frame
 
@@ -50,10 +50,6 @@ class FeatureMapStack:
     def height(self) -> int:
         return self.data.shape[1]
 
-    @property
-    def width(self) -> int:
-        return self.data.shape[2]
-
 
 @dataclass(frozen=True)
 class MultiResSpecConfig:
@@ -68,11 +64,7 @@ class MultiResSpecConfig:
             raise InvalidArgumentError("resolution parameters must be positive")
 
 
-def mrld_features(
-    wf: Waveform,
-    windows=DEFAULT_LYAPUNOV_WINDOWS,
-    p: EmbeddingParams | None = None,
-) -> FeatureMapStack:
+def mrld_features(wf: Waveform, windows=DEFAULT_LYAPUNOV_WINDOWS) -> FeatureMapStack:
     """Local Lyapunov exponent map, one channel per window size.
 
     Channel w holds the per-segment exponents for non-overlapping windows of
@@ -83,12 +75,12 @@ def mrld_features(
     flagged degenerate. Window sizes must be distinct integers >= 1.
 
     All windows come from one `nld.lyapunov_windows` call, which shares the
-    neighbor search across dyadic window sizes. `EmbeddingParams.eps` is an
-    absolute floor on distances: a clip whose sample differences are far
-    below it (say, speech scaled by 1e-200) gives rates of exactly 0, so
-    every channel is all-zero and flagged degenerate.
+    neighbor search across dyadic window sizes. The default `EmbeddingParams`
+    eps is an absolute floor on distances: a clip whose sample differences
+    are far below it (say, speech scaled by 1e-200) gives rates of exactly 0,
+    so every channel is all-zero and flagged degenerate.
     """
-    levels = lyapunov_windows(wf.samples, windows, p)
+    levels = lyapunov_windows(wf.samples, windows)
     windows = list(levels)
     width = len(wf) // windows[0]
     data = np.zeros((len(windows), 1, width))
@@ -122,10 +114,10 @@ def msdfa_features(
     wf: Waveform, scales=DEFAULT_DFA_SCALES, side: int = 64
 ) -> FeatureMapStack:
     """DFA fluctuations tiled into constant side x side maps, one per scale, in
-    ascending scale order. Scales must be distinct integers >= 1."""
+    ascending scale order. Scales must be distinct integers >= 1, and the
+    tile side an integer >= 1."""
     scales = _sizes(scales, "DFA scales")
-    if side < 1:
-        raise InvalidArgumentError("tile side must be >= 1")
+    side = _size(side, "tile side", 1)
     data = np.zeros((len(scales), side, side))
     channel_meta = []
     for c, n in enumerate(scales):

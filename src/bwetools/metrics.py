@@ -10,7 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError
-from .signal import ResampleConfig, Waveform, peak_exponent, resample
+from .signal import Waveform, peak_exponent, resample
 from .spectral import StftConfig, _per_frame
 
 __all__ = ["MetricReport", "lsd", "si_sdr", "si_snr", "stoi", "evaluate"]
@@ -160,9 +160,8 @@ def stoi(ref: Waveform, est: Waveform) -> float:
         raise InvalidArgumentError("stoi needs at least 0.4 s of audio")
     # each signal's peak scaled into [0.5, 1), so 1e200 or 1e-200 neither
     # overflows nor underflows the band powers
-    rs_cfg = ResampleConfig()
-    x = resample(Waveform(_unit_peak(ref.samples), ref.rate), c["rate"], rs_cfg).samples
-    y = resample(Waveform(_unit_peak(est.samples), est.rate), c["rate"], rs_cfg).samples
+    x = resample(Waveform(_unit_peak(ref.samples), ref.rate), c["rate"]).samples
+    y = resample(Waveform(_unit_peak(est.samples), est.rate), c["rate"]).samples
     n = min(x.size, y.size)
     x, y = x[:n], y[:n]
 

@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 DEFAULT_MRLD_WIDTHS = (64, 128, 256, 384, 256)
-DEFAULT_MSDFA_WIDTHS = (64, 128, 256, 384, 256)
 MPD_REFERENCE_PARAMS = 22_000_000  # published size of the periodicity discriminator
 LEAKY_SLOPE = 0.1  # negative-side slope of every leaky ReLU
 
@@ -159,7 +158,7 @@ def build_mrld_cnn(widths=DEFAULT_MRLD_WIDTHS, in_channels: int = 5) -> NetDescr
     return _dsc_stack("mrld", 1, in_channels, widths, (5, 5, 5, 5, 3), (2, 2, 2, 2, 1))
 
 
-def build_msdfa_cnn(widths=DEFAULT_MSDFA_WIDTHS, in_channels: int = 5) -> NetDescriptor:
+def build_msdfa_cnn(widths=DEFAULT_MRLD_WIDTHS, in_channels: int = 5) -> NetDescriptor:
     """2-D twin of the Lyapunov-map CNN, applied to tiled DFA maps."""
     return _dsc_stack("msdfa", 2, in_channels, widths, (5, 5, 5, 5, 3), (2, 2, 2, 2, 1))
 

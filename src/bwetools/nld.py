@@ -66,9 +66,6 @@ class LyapunovEstimate:
     value: float  # mean log divergence rate, 1/sample
     degenerate: bool = False  # True when no valid neighbor pair existed
 
-    def __float__(self) -> float:
-        return self.value
-
 
 @dataclass(frozen=True)
 class PoincareDescriptors:
@@ -268,20 +265,26 @@ def lyapunov_exponents(segments, p: EmbeddingParams | None = None) -> tuple[np.n
     return _rates(y, exponent, n, delta, theiler, _nearest(y, n, theiler)[1], p.eps)
 
 
-def _sizes(values, what: str) -> list[int]:
-    """`values` as ascending ints: a non-empty set of distinct integers >= 1,
-    else InvalidArgumentError naming `what` ("window sizes", "DFA scales")."""
-    values = list(values)
-    if not values:
-        raise InvalidArgumentError(f"{what} must not be empty")
+def _size(value, what: str, least: int) -> int:
+    """`value` as an int: an integral number >= least that is not a bool (8.0
+    and numpy integers pass), else InvalidArgumentError naming `what`."""
     try:
-        sizes = [int(v) for v in values]
+        if int(value) == value and value >= least and not isinstance(value, (bool, np.bool_)):
+            return int(value)
     except (TypeError, ValueError, OverflowError):
-        raise InvalidArgumentError(f"{what} must be integers, got {values}") from None
-    if any(s != v for s, v in zip(sizes, values)) or min(sizes) < 1:
-        raise InvalidArgumentError(f"{what} must be integers >= 1, got {values}")
-    if len(set(sizes)) != len(sizes):
-        raise InvalidArgumentError(f"{what} must be distinct, got {values}")
+        pass
+    raise InvalidArgumentError(f"{what} must be an integer >= {least}, got {value!r}")
+
+
+def _sizes(values, what: str) -> list[int]:
+    """`values` as ascending ints: a non-empty set of distinct `_size`s >= 1,
+    else InvalidArgumentError naming `what` ("window sizes", "DFA scales")."""
+    try:
+        sizes = [_size(v, f"each of the {what}", 1) for v in values]
+    except TypeError:
+        raise InvalidArgumentError(f"{what} must be a list of integers, got {values!r}") from None
+    if not sizes or len(set(sizes)) != len(sizes):
+        raise InvalidArgumentError(f"{what} must be non-empty and distinct, got {sorted(sizes)}")
     return sorted(sizes)
 
 
@@ -336,7 +339,7 @@ def local_lyapunov(segment, p: EmbeddingParams | None = None) -> LyapunovEstimat
 
 
 def dfa_fluctuation(x, n: int) -> float:
-    """DFA-1 fluctuation at one box size.
+    """DFA-1 fluctuation at one box size n, an integer >= 2.
 
     Cumulative profile of the centered series, split into floor(len/n)
     non-overlapping boxes, linear detrend per box, RMS of the per-box mean
@@ -344,8 +347,7 @@ def dfa_fluctuation(x, n: int) -> float:
     peak, so F(2**k * x) == 2**k * F(x) exactly while both are finite.
     """
     x = np.asarray(x, dtype=np.float64)
-    if n < 2:
-        raise InvalidArgumentError("scale must be >= 2")
+    n = _size(n, "DFA scale", 2)
     if x.size < 2 * n:
         raise InvalidArgumentError(f"need at least {2 * n} samples for scale {n}")
     if np.ptp(x) == 0.0:
@@ -381,15 +383,14 @@ def dfa_exponent(x, scales) -> float:
 def recurrence_plot(x, max_size: int = 512) -> RecurrencePlot:
     """Thresholded distance matrix: R[i,j] = 1 iff |x[i]-x[j]| < mean distance.
 
-    Sequences longer than max_size (at least 2) are decimated by a uniform
-    stride first. The threshold is the mean of the strict upper triangle; the
-    diagonal is forced to 1.
+    Sequences longer than max_size (an integer >= 2) are decimated by a
+    uniform stride first. The threshold is the mean of the strict upper
+    triangle; the diagonal is forced to 1.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size < 2:
         raise InvalidArgumentError("need at least 2 samples")
-    if max_size < 2:
-        raise InvalidArgumentError(f"max_size must be >= 2, got {max_size}")
+    max_size = _size(max_size, "max_size", 2)
     if x.size > max_size:
         stride = math.ceil(x.size / max_size)
         x = x[::stride]

@@ -1,10 +1,11 @@
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from bwetools import metrics, nld
-from bwetools.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, main
+from bwetools import featmaps, metrics, nld
+from bwetools.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXTRACTORS, main
 from bwetools.demo import synthetic_speech
 from bwetools.signal import Waveform, degrade, load_wav, save_wav
 
@@ -39,13 +40,13 @@ class TestDegradeCommand:
     def test_missing_input(self, tmp_path):
         assert main(["degrade", str(tmp_path / "nope.wav"), "8000", str(tmp_path / "o.wav")]) == EXIT_IO
 
-    def test_positional_rate_overrides_config(self, clip_path, tmp_path):
+    def test_low_rate_config_key_rejected(self, clip_path, tmp_path):
+        # the rate is the positional argument only; degrade reads no config key
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"low_rate": 96000}))
-        plain, configured = tmp_path / "plain.wav", tmp_path / "configured.wav"
-        assert main(["degrade", str(clip_path), "8000", str(plain)]) == EXIT_OK
-        assert main(["--config", str(cfg), "degrade", str(clip_path), "8000", str(configured)]) == EXIT_OK
-        assert configured.read_bytes() == plain.read_bytes()
+        cfg.write_text(json.dumps({"low_rate": 8000}))
+        out = tmp_path / "o.wav"
+        assert main(["--config", str(cfg), "degrade", str(clip_path), "8000", str(out)]) == EXIT_USAGE
+        assert not out.exists()
 
     def test_input_untouched(self, clip_path, tmp_path):
         before = clip_path.read_bytes()
@@ -206,7 +207,9 @@ class TestConfig:
         doc = json.loads(capsys.readouterr().out)
         assert doc["shape"] == [5, 8, 8]
 
-    @pytest.mark.parametrize("windows", [[0, 64], [-64, 128], [64, 64], [64.7, 128], [], ["a"]])
+    @pytest.mark.parametrize(
+        "windows", [[0, 64], [-64, 128], [64, 64], [64.7, 128], [], ["a"], [True, 2], [64, None], 64]
+    )
     def test_bad_mrld_windows(self, clip_path, tmp_path, windows):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"windows": windows}))
@@ -227,6 +230,11 @@ class TestConfig:
             ("rp", {"max_size": 0}),
             ("rp", {"max_size": 1}),
             ("rp", {"max_size": -5}),
+            ("msdfa", {"side": True}),
+            ("msdfa", {"side": None}),
+            ("msdfa", {"scales": 100}),
+            ("rp", {"max_size": 100.5}),
+            ("rp", {"max_size": True}),
         ],
     )
     def test_bad_config_values(self, clip_path, tmp_path, capsys, extractor, config):
@@ -239,7 +247,7 @@ class TestConfig:
     @pytest.mark.parametrize(
         "command, config",
         [
-            (["degrade", "{clip}", "8000", "{out}/o.wav"], {"low_rate": 8000}),
+            (["degrade", "{clip}", "8000", "{out}/o.wav"], {}),
             (["features", "{clip}", "mrld", "{out}"], {"windows": [64, 128]}),
             (["features", "{clip}", "msdfa", "{out}"], {"scales": [100], "side": 4}),
             (["features", "{clip}", "mrad_mrpd", "{out}"], {}),
@@ -260,6 +268,45 @@ class TestConfig:
         capsys.readouterr()
         assert main(["--config", str(cfg), *argv]) == EXIT_USAGE
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "extractor, integral, config",
+        [
+            ("msdfa", {"side": 8.0}, {"side": 8}),
+            ("rp", {"max_size": 16.0}, {"max_size": 16}),
+            ("mrld", {"windows": [64.0, 128.0]}, {"windows": [64, 128]}),
+        ],
+    )
+    def test_integral_floats_accepted(self, clip_path, tmp_path, capsys, extractor, integral, config):
+        outputs = []
+        for i, value in enumerate((integral, config)):
+            cfg = tmp_path / f"cfg{i}.json"
+            cfg.write_text(json.dumps(value))
+            argv = ["--config", str(cfg), "features", str(clip_path), extractor, str(tmp_path / f"f{i}")]
+            assert main(argv) == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("extractor", [name for name, entry in EXTRACTORS.items() if entry[2]])
+    def test_spelt_out_defaults_match_no_config(self, clip_path, tmp_path, capsys, extractor):
+        # the defaults live in the library function whose keyword names the table lists
+        function = {
+            "mrld": featmaps.mrld_features,
+            "msdfa": featmaps.msdfa_features,
+            "rp": nld.recurrence_plot,
+        }[extractor]
+        params = inspect.signature(function).parameters
+        defaults = {key: params[key].default for key in EXTRACTORS[extractor][2]}
+        assert all(value is not inspect.Parameter.empty for value in defaults.values())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(defaults))
+        runs = []
+        for name, prefix in (("plain", []), ("spelt", ["--config", str(cfg)])):
+            out_dir = tmp_path / name
+            assert main([*prefix, "features", str(clip_path), extractor, str(out_dir)]) == EXIT_OK
+            files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+            runs.append((capsys.readouterr().out, files))
+        assert runs[0] == runs[1]
 
     def test_bad_config(self, clip_path, tmp_path):
         cfg = tmp_path / "cfg.json"

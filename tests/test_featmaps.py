@@ -24,7 +24,10 @@ def noise_wave(n, seed=0, rate=48000):
 
 
 # window sizes and DFA scales go through one validator: each of these is rejected
-BAD_SIZES = [(), (0, 64), (-64, 128), (64, 64), (64.7, 128), ("64",), (100, 100, 200), (100.7, 200), ("a",)]
+BAD_SIZES = [
+    (), (0, 64), (-64, 128), (64, 64), (64.7, 128), ("64",), (100, 100, 200), (100.7, 200), ("a",),
+    (True, 2), (64, None), (64, float("nan")), (64, float("inf")), 64,
+]
 
 
 class TestMrld:
@@ -135,6 +138,18 @@ class TestMsdfa:
     def test_bad_scales_rejected(self, extract, scales):
         with pytest.raises(InvalidArgumentError):
             extract(noise_wave(4096), scales)
+
+    @pytest.mark.parametrize("side", [8.7, "8", None, True, float("nan"), float("inf"), 0])
+    def test_bad_side_rejected(self, side):
+        with pytest.raises(InvalidArgumentError, match="tile side"):
+            msdfa_features(noise_wave(4096), side=side)
+
+    @pytest.mark.parametrize("side", [8.0, np.int64(8)])
+    def test_integral_side_accepted(self, side):
+        wf = noise_wave(4096, seed=8)
+        stack = msdfa_features(wf, side=side)
+        assert stack.meta["side"] == 8 and type(stack.meta["side"]) is int
+        assert np.array_equal(stack.data, msdfa_features(wf, side=8).data)
 
 
 class TestMradMrpd:

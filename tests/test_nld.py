@@ -311,6 +311,15 @@ class TestDfa:
         with pytest.raises(InvalidArgumentError):
             dfa_fluctuation(np.ones(150), 100)
 
+    @pytest.mark.parametrize("n", [1, 100.5, True, None, "100"])
+    def test_bad_scale(self, n):
+        with pytest.raises(InvalidArgumentError, match="DFA scale"):
+            dfa_fluctuation(np.random.default_rng(0).standard_normal(1000), n)
+
+    def test_integral_scale_accepted(self):
+        x = np.random.default_rng(0).standard_normal(1000)
+        assert dfa_fluctuation(x, 100.0) == dfa_fluctuation(x, np.int64(100)) == dfa_fluctuation(x, 100)
+
     def test_exponent_needs_two_scales(self):
         with pytest.raises(InvalidArgumentError):
             dfa_exponent(np.full(1000, 1.0), (100, 200))  # both F(n) == 0
@@ -367,9 +376,9 @@ class TestRecurrencePlot:
         with pytest.raises(InvalidArgumentError):
             recurrence_plot(np.array([1.0]))
 
-    @pytest.mark.parametrize("max_size", [1, 0, -5])
+    @pytest.mark.parametrize("max_size", [1, 0, -5, 100.5, True, None, "8", float("nan")])
     def test_bad_max_size(self, max_size):
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="max_size"):
             recurrence_plot(np.random.default_rng(0).standard_normal(50), max_size)
 
 
