@@ -7,8 +7,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
-from .nld import EmbeddingParams, _size, _sizes, dfa_fluctuation, lyapunov_exponents, lyapunov_windows
+from .errors import InvalidArgumentError, _finite, _size, _sizes
+from .nld import EmbeddingParams, dfa_fluctuation, lyapunov_exponents, lyapunov_windows
 from .signal import Waveform, frame
 from .spectral import MagPhase, StftConfig, _mag_phase, _per_frame
 
@@ -39,8 +39,7 @@ class FeatureMapStack:
         object.__setattr__(self, "data", data)
         if data.ndim != 3:
             raise InvalidArgumentError("stack must be C x H x W")
-        if data.size and not np.all(np.isfinite(data)):
-            raise InvalidArgumentError("stack entries must be finite")
+        _finite(data, "feature stack")
 
     @property
     def channels(self) -> int:
@@ -58,10 +57,11 @@ class MultiResSpecConfig:
     win_lengths: tuple = (2048, 512, 2048)
 
     def __post_init__(self):
+        for name in ("freq_bins", "hops", "win_lengths"):
+            sizes = tuple(_size(v, f"each of {name}", 1) for v in getattr(self, name))
+            object.__setattr__(self, name, sizes)
         if not (len(self.freq_bins) == len(self.hops) == len(self.win_lengths)):
             raise InvalidArgumentError("resolution lists must have equal length")
-        if any(v <= 0 for v in (*self.freq_bins, *self.hops, *self.win_lengths)):
-            raise InvalidArgumentError("resolution parameters must be positive")
 
 
 def mrld_features(wf: Waveform, windows=DEFAULT_LYAPUNOV_WINDOWS) -> FeatureMapStack:

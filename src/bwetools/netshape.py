@@ -9,7 +9,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _finite, _size, _size_fields
 from .featmaps import FeatureMapStack
 from .spectral import MagPhase, phase_from_ri
 
@@ -50,10 +50,9 @@ class ConvSpec:
     def __post_init__(self):
         if self.kind not in ("standard", "depthwise_separable"):
             raise InvalidArgumentError(f"unknown conv kind {self.kind!r}")
-        if self.dims not in (1, 2):
+        _size_fields(self, 1, "dims", "kernel", "c_in", "c_out", "stride")
+        if self.dims > 2:
             raise InvalidArgumentError("dims must be 1 or 2")
-        if self.kernel < 1 or self.c_in < 1 or self.c_out < 1 or self.stride < 1:
-            raise InvalidArgumentError("kernel, channels, and stride must be >= 1")
 
     def shapes(self) -> dict:
         """Weight name -> shape in draw order. Depthwise-separable = per-channel
@@ -87,6 +86,9 @@ class ConvSpec:
 @dataclass(frozen=True)
 class BatchNormSpec:
     channels: int
+
+    def __post_init__(self):
+        _size_fields(self, 1, "channels")
 
     def shapes(self) -> dict:
         return {"gamma": (self.channels,), "beta": (self.channels,)}
@@ -124,17 +126,17 @@ class NetDescriptor:
         return [l for l in self.layers if isinstance(l, ConvSpec)]
 
 
-def _size(*tables: dict) -> int:
+def _count(*tables: dict) -> int:
     return sum(math.prod(shape) for table in tables for shape in table.values())
 
 
 def conv_params(spec: ConvSpec) -> int:
     """Exact weight count of the shapes the layer declares."""
-    return _size(spec.shapes())
+    return _count(spec.shapes())
 
 
 def param_count(net: NetDescriptor) -> int:
-    return _size(*(layer.shapes() for layer in net.layers))
+    return _count(*(layer.shapes() for layer in net.layers))
 
 
 def _dsc_stack(name, dims, in_channels, widths, kernels, strides) -> NetDescriptor:
@@ -170,7 +172,7 @@ def build_msdfa_cnn(widths=DEFAULT_MRLD_WIDTHS, in_channels: int = 5) -> NetDesc
 def _draw(tables: list[dict], seed: int, zero: bool) -> list[dict]:
     """One array per table entry, drawn uniform(-0.05, 0.05) from a fixed seed
     (or all zeros) in table order, so results are reproducible."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_size(seed, "seed", 0))
     sample = np.zeros if zero else lambda shape: rng.uniform(-0.05, 0.05, size=shape)
     return [{name: sample(shape) for name, shape in table.items()} for table in tables]
 
@@ -245,9 +247,7 @@ class LatticeScalars:
     beta2: float = 0.5
 
     def __post_init__(self):
-        for v in (self.alpha1, self.alpha2, self.beta1, self.beta2):
-            if not np.isfinite(v):
-                raise InvalidArgumentError("lattice scalars must be finite")
+        _finite((self.alpha1, self.alpha2, self.beta1, self.beta2), "lattice scalars")
 
 
 @dataclass(frozen=True)
@@ -268,13 +268,12 @@ class GeneratorGraph:
     n_blocks = 4  # 2 stages x 2 streams, fixed by construction
 
     def __post_init__(self):
-        if min(self.freq_bins, self.frames, self.hidden, self.heads, self.mlp_ratio) < 1:
-            raise InvalidArgumentError("dims must be positive")
+        _size_fields(self, 1, "freq_bins", "frames", "hidden", "heads", "mlp_ratio", "conv_kernel")
         if self.hidden % self.heads != 0:
             raise InvalidArgumentError("heads must divide hidden width")
-        if self.conv_kernel < 1 or self.conv_kernel % 2 == 0:
+        if self.conv_kernel % 2 == 0:
             # a same-length time convolution needs a center tap
-            raise InvalidArgumentError(f"conv_kernel must be odd and >= 1, got {self.conv_kernel}")
+            raise InvalidArgumentError(f"conv_kernel must be odd, got {self.conv_kernel}")
 
 
 def _layer_norm(x: np.ndarray) -> np.ndarray:
@@ -332,7 +331,7 @@ def _run_block(x: np.ndarray, g: GeneratorGraph, p: dict) -> np.ndarray:
 
 
 def generator_param_count(g: GeneratorGraph) -> int:
-    return _size(*_generator_shapes(g))
+    return _count(*_generator_shapes(g))
 
 
 def generator_forward(
@@ -347,8 +346,7 @@ def generator_forward(
         raise InvalidArgumentError(
             f"expected ({g.freq_bins}, {g.frames}) grids, got {mp_nb.mag.shape}"
         )
-    if not (np.isfinite(mp_nb.mag).all() and np.isfinite(mp_nb.phase).all()):
-        raise InvalidArgumentError("generator input has non-finite magnitude or phase")
+    _finite((mp_nb.mag, mp_nb.phase), "generator input magnitude/phase")
     w_in, *blocks, w_head = _draw(_generator_shapes(g), seed, zero_weights)
     s = g.scalars
     m = mp_nb.mag.T @ w_in["in_m"] + w_in["in_mb"]  # (T, hidden)

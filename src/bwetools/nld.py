@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _size, _size_fields, _sizes
 from .signal import peak_exponent
 
 __all__ = [
@@ -46,14 +46,11 @@ class EmbeddingParams:
     theiler: int | None = None
 
     def __post_init__(self):
-        if self.d < 1 or self.tau < 1:
-            raise InvalidArgumentError("d and tau must be >= 1")
-        if self.delta is not None and self.delta < 1:
-            raise InvalidArgumentError("delta must be >= 1")
+        _size_fields(self, 1, "d", "tau")
+        _size_fields(self, 1, "delta", optional=True)
+        _size_fields(self, 0, "theiler", optional=True)
         if self.eps <= 0:
             raise InvalidArgumentError("eps must be > 0")
-        if self.theiler is not None and self.theiler < 0:
-            raise InvalidArgumentError("theiler must be >= 0")
 
     def resolved(self, segment_length: int) -> tuple[int, int]:
         delta = self.delta if self.delta is not None else max(1, segment_length // 8)
@@ -85,8 +82,7 @@ def delay_embed(x, d: int, tau: int) -> np.ndarray:
     (x[j], x[j+tau], ..., x[j+(d-1)tau]), so a series gives (L - span, d) and
     (count, L) segments give (count, L - span, d), span = (d-1)*tau."""
     x = np.asarray(x, dtype=np.float64)
-    if d < 1 or tau < 1:
-        raise InvalidArgumentError("d and tau must be >= 1")
+    d, tau = _size(d, "d", 1), _size(tau, "tau", 1)
     span = (d - 1) * tau
     length = x.shape[-1] if x.ndim else 0
     if length < span + 1:
@@ -263,29 +259,6 @@ def lyapunov_exponents(segments, p: EmbeddingParams | None = None) -> tuple[np.n
     exponent = peak_exponent(segments, axis=1)
     y = delay_embed(np.ldexp(segments, -exponent), p.d, p.tau)
     return _rates(y, exponent, n, delta, theiler, _nearest(y, n, theiler)[1], p.eps)
-
-
-def _size(value, what: str, least: int) -> int:
-    """`value` as an int: an integral number >= least that is not a bool (8.0
-    and numpy integers pass), else InvalidArgumentError naming `what`."""
-    try:
-        if int(value) == value and value >= least and not isinstance(value, (bool, np.bool_)):
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise InvalidArgumentError(f"{what} must be an integer >= {least}, got {value!r}")
-
-
-def _sizes(values, what: str) -> list[int]:
-    """`values` as ascending ints: a non-empty set of distinct `_size`s >= 1,
-    else InvalidArgumentError naming `what` ("window sizes", "DFA scales")."""
-    try:
-        sizes = [_size(v, f"each of the {what}", 1) for v in values]
-    except TypeError:
-        raise InvalidArgumentError(f"{what} must be a list of integers, got {values!r}") from None
-    if not sizes or len(set(sizes)) != len(sizes):
-        raise InvalidArgumentError(f"{what} must be non-empty and distinct, got {sorted(sizes)}")
-    return sorted(sizes)
 
 
 def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:

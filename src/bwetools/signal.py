@@ -14,6 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError, UnreadableFileError, UnsupportedEncodingError
+from .errors import _finite, _size, _size_fields
 
 __all__ = [
     "Waveform",
@@ -39,12 +40,10 @@ class Waveform:
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
         object.__setattr__(self, "samples", samples)
-        if self.rate <= 0:
-            raise InvalidArgumentError(f"rate must be positive, got {self.rate}")
+        _size_fields(self, 1, "rate")
         if samples.ndim != 1:
             raise InvalidArgumentError("Waveform samples must be one-dimensional")
-        if samples.size and not np.all(np.isfinite(samples)):
-            raise InvalidArgumentError("Waveform samples must be finite")
+        _finite(samples, "Waveform samples")
 
     def __len__(self) -> int:
         return self.samples.size
@@ -67,8 +66,7 @@ class ResampleConfig:
     rolloff: float = 0.945
 
     def __post_init__(self):
-        if self.filter_half_width < 8:
-            raise InvalidArgumentError("filter_half_width must be >= 8")
+        _size_fields(self, 8, "filter_half_width")
         if not 0.0 < self.rolloff <= 1.0:
             raise InvalidArgumentError("rolloff must be in (0, 1]")
 
@@ -313,8 +311,7 @@ def resample(wf: Waveform, target_rate: int, cfg: ResampleConfig | None = None) 
     leaves the normal range; the last bits depend on the BLAS build and its
     thread count.
     """
-    if target_rate <= 0:
-        raise InvalidArgumentError("target_rate must be positive")
+    target_rate = _size(target_rate, "target_rate", 1)
     cfg = cfg or ResampleConfig()
     if target_rate == wf.rate:
         return Waveform(wf.samples.copy(), wf.rate)
@@ -337,6 +334,7 @@ def degrade(wf: Waveform, low_rate: int, cfg: ResampleConfig | None = None) -> W
 
     The result has the same rate and exactly the same length as the input.
     """
+    low_rate = _size(low_rate, "low_rate", 1)
     if low_rate >= wf.rate:
         raise InvalidArgumentError(
             f"low_rate must be below the waveform rate ({low_rate} >= {wf.rate})"
@@ -352,8 +350,7 @@ def frame(wf: Waveform, size: int, hop: int) -> np.ndarray:
     Trailing samples that do not fill a window are dropped. Returns an array
     of shape (n_frames, size); zero frames for inputs shorter than size.
     """
-    if size < 1 or hop < 1:
-        raise InvalidArgumentError("size and hop must be >= 1")
+    size, hop = _size(size, "size", 1), _size(hop, "hop", 1)
     if len(wf) < size:
         return np.empty((0, size), dtype=np.float64)
     return sliding_window_view(wf.samples, size)[::hop].copy()

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _finite, _size_fields
 from .signal import Waveform
 
 __all__ = [
@@ -70,8 +70,9 @@ class StftConfig:
     center: bool = True
 
     def __post_init__(self):
-        if not (1 <= self.hop <= self.win_length <= self.n_fft):
-            raise InvalidArgumentError("need hop <= win_length <= n_fft, all >= 1")
+        _size_fields(self, 1, "n_fft", "win_length", "hop")
+        if not (self.hop <= self.win_length <= self.n_fft):
+            raise InvalidArgumentError("need hop <= win_length <= n_fft")
         if not _is_cola(_hann(self.win_length), self.hop):
             raise InvalidArgumentError(
                 f"window/hop pair ({self.win_length}, {self.hop}) does not satisfy COLA"
@@ -99,22 +100,16 @@ class ComplexSpectrogram:
     def __post_init__(self):
         data = np.asarray(self.data, dtype=np.complex128)
         object.__setattr__(self, "data", data)
+        _size_fields(self, 0, "n_samples", optional=True)
         if data.ndim != 2 or data.shape[0] != self.config.n_bins:
             raise InvalidArgumentError(
                 f"expected (F={self.config.n_bins}, T) grid, got shape {data.shape}"
             )
-        _finite(data)
+        _finite(data, "STFT")
 
     @property
     def n_frames(self) -> int:
         return self.data.shape[1]
-
-
-def _finite(z: np.ndarray) -> np.ndarray:
-    """z, checked to hold only finite entries."""
-    if not np.all(np.isfinite(z)):
-        raise InvalidArgumentError("spectrogram entries must be finite")
-    return z
 
 
 @dataclass(frozen=True)
@@ -129,6 +124,7 @@ class MagPhase:
         phase = np.asarray(self.phase, dtype=np.float64)
         object.__setattr__(self, "mag", mag)
         object.__setattr__(self, "phase", phase)
+        _size_fields(self, 0, "n_samples", optional=True)
         if mag.shape != phase.shape:
             raise InvalidArgumentError("mag and phase must share a shape")
 
@@ -152,7 +148,7 @@ def _per_frame(fn, cfg: StftConfig, *signals: np.ndarray) -> np.ndarray:
     frames = [sliding_window_view(np.pad(x, pad), cfg.n_fft)[:: cfg.hop] for x in signals]
     win = cfg.window_array()
     for s in range(0, len(frames[0]), _BLOCK):
-        rows = fn(*(_finite(np.fft.rfft(f[s : s + _BLOCK] * win, axis=1)) for f in frames))
+        rows = fn(*(_finite(np.fft.rfft(f[s : s + _BLOCK] * win, axis=1), "STFT") for f in frames))
         if s == 0:
             out = np.empty((len(frames[0]), *rows.shape[1:]), rows.dtype)
         out[s : s + _BLOCK] = rows

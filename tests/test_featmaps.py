@@ -208,3 +208,14 @@ class TestMradMrpd:
     def test_bad_config(self):
         with pytest.raises(InvalidArgumentError):
             MultiResSpecConfig(freq_bins=(512, 128), hops=(1024,), win_lengths=(2048,))
+
+    # the BAD_SIZES cases with a bad entry: repeats are fine here
+    @pytest.mark.parametrize(
+        "entries", [s for s in BAD_SIZES if isinstance(s, tuple) and 0 < len(set(s)) == len(s)]
+    )
+    @pytest.mark.parametrize("name", ["freq_bins", "hops", "win_lengths"])
+    def test_bad_resolution_entry_rejected(self, name, entries):
+        cfg = {"freq_bins": (64, 64), "hops": (32, 32), "win_lengths": (128, 128)}
+        cfg = {key: value[: len(entries)] for key, value in cfg.items()} | {name: entries}
+        with pytest.raises(InvalidArgumentError, match=f"each of {name}"):
+            MultiResSpecConfig(**cfg)
