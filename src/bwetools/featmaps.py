@@ -58,7 +58,11 @@ class MultiResSpecConfig:
 
     def __post_init__(self):
         for name in ("freq_bins", "hops", "win_lengths"):
-            sizes = tuple(_size(v, f"each of {name}", 1) for v in getattr(self, name))
+            values = getattr(self, name)
+            try:
+                sizes = tuple(_size(v, f"each of {name}", 1) for v in values)
+            except TypeError:
+                raise InvalidArgumentError(f"{name} must be a tuple of integers, got {values!r}") from None
             object.__setattr__(self, name, sizes)
         if not (len(self.freq_bins) == len(self.hops) == len(self.win_lengths)):
             raise InvalidArgumentError("resolution lists must have equal length")

@@ -5,6 +5,7 @@ recurrence plots, and first-order Poincare descriptors."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +50,8 @@ class EmbeddingParams:
         _size_fields(self, 1, "d", "tau")
         _size_fields(self, 1, "delta", optional=True)
         _size_fields(self, 0, "theiler", optional=True)
-        if self.eps <= 0:
-            raise InvalidArgumentError("eps must be > 0")
+        if not 0 < self.eps < math.inf:
+            raise InvalidArgumentError(f"eps must be finite and > 0, got {self.eps!r}")
 
     def resolved(self, segment_length: int) -> tuple[int, int]:
         delta = self.delta if self.delta is not None else max(1, segment_length // 8)
@@ -122,6 +123,36 @@ def _band(rows: int, cols: int, lo: int, hi: int) -> np.ndarray:
     return np.concatenate(diagonals) if diagonals else np.empty(0, dtype=np.intp)
 
 
+# Distance cells per segment below which a search runs on one thread. On 2
+# CPUs the split took the default w = 512 and 1024 merges (256 x 224 and
+# 512 x 448 cells) from about 94 to 64 and 210 to 118 ms; at w <= 256 (128 x
+# 112 cells or fewer) it was no faster, as the per-segment Python work, which
+# holds the GIL, is a larger share.
+_SPLIT_CELLS = 32768
+
+
+def _over_segments(count: int, cells: int, search) -> None:
+    """Run search(lo, hi) over contiguous ranges covering segments [0, count),
+    one per CPU this process may use when a segment's search has at least
+    _SPLIT_CELLS distance cells, else one. The first runs on the calling
+    thread, each other on its own; a call writes only its own segments, with
+    its own scratch, and any call's exception reaches the caller."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    parts = min(count, cpus or 1) if cells >= _SPLIT_CELLS else 1
+    if parts < 2:
+        search(0, count)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    # cdist and argmin release the GIL, so the ranges run in parallel
+    bounds = [count * k // parts for k in range(parts + 1)]
+    with ThreadPoolExecutor(parts - 1) as pool:
+        futures = [pool.submit(search, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        search(0, bounds[1])
+        for future in futures:
+            future.result()
+
+
 def _nearest(pts: np.ndarray, n: int, theiler: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact nearest neighbor of each of the first n points of every segment
     outside its Theiler window |j - j'| <= theiler: (distance, index), the
@@ -129,17 +160,21 @@ def _nearest(pts: np.ndarray, n: int, theiler: int) -> tuple[np.ndarray, np.ndar
     from scipy.spatial.distance import cdist
 
     count = pts.shape[0]
-    buf = np.empty((n, n))
-    flat = buf.ravel()
     band = _band(n, n, -theiler, theiler)
     j = np.arange(n)
     dist = np.empty((count, n))
     nn = np.empty((count, n), dtype=np.intp)
-    for s in range(count):
-        cdist(pts[s, :n], pts[s, :n], out=buf)
-        flat[band] = np.inf
-        buf.argmin(axis=1, out=nn[s])
-        dist[s] = buf[j, nn[s]]
+
+    def search(lo, hi):
+        buf = np.empty((n, n))
+        flat = buf.ravel()
+        for s in range(lo, hi):
+            cdist(pts[s, :n], pts[s, :n], out=buf)
+            flat[band] = np.inf
+            buf.argmin(axis=1, out=nn[s])
+            dist[s] = buf[j, nn[s]]
+
+    _over_segments(count, n * n, search)
     return dist, nn
 
 
@@ -172,21 +207,25 @@ def _nearest_from_halves(pts, n, theiler, h, half_dist, half_nn):
     count = pts.shape[0]
     nh = half_dist.shape[1]
     g = min(h, n)
-    block = np.empty((g, n - nh))
-    flat = block.ravel()
     band = _band(g, n - nh, -nh - theiler, theiler - nh)
     row_d = np.empty((count, g))
     row_i = np.empty((count, g), dtype=np.intp)
     col_d = np.empty((count, n - nh))
     col_i = np.empty((count, n - nh), dtype=np.intp)
     rows, cols = np.arange(g), np.arange(n - nh)
-    for s in range(count):
-        cdist(pts[s, :g], pts[s, nh:n], out=block)
-        flat[band] = np.inf
-        block.argmin(axis=1, out=row_i[s])
-        row_d[s] = block[rows, row_i[s]]
-        block.argmin(axis=0, out=col_i[s])
-        col_d[s] = block[col_i[s], cols]
+
+    def search(lo, hi):
+        block = np.empty((g, n - nh))
+        flat = block.ravel()
+        for s in range(lo, hi):
+            cdist(pts[s, :g], pts[s, nh:n], out=block)
+            flat[band] = np.inf
+            block.argmin(axis=1, out=row_i[s])
+            row_d[s] = block[rows, row_i[s]]
+            block.argmin(axis=0, out=col_i[s])
+            col_d[s] = block[col_i[s], cols]
+
+    _over_segments(count, g * (n - nh), search)
     dist = np.empty((count, n))
     nn = np.empty((count, n), dtype=np.intp)
     dist[:, :nh] = half_dist[0 : 2 * count : 2]
@@ -213,6 +252,14 @@ def _nearest_from_halves(pts, n, theiler, h, half_dist, half_nn):
     return dist, nn
 
 
+def _norms(a: np.ndarray, b: np.ndarray, exponent) -> np.ndarray:
+    """np.ldexp(np.linalg.norm(a - b, axis=2), exponent) bit for bit, by norm's
+    own reduction, with no temporary beyond b, which it overwrites."""
+    np.subtract(a, b, out=b)
+    np.square(b, out=b)
+    return np.ldexp(np.sqrt(b.sum(axis=2)), exponent)
+
+
 def _rates(y: np.ndarray, exponent, n: int, delta: int, theiler: int, nn: np.ndarray, eps: float):
     """The one-window kernel: (values, degenerate) of embedded segments y,
     (count, n + delta, d), scaled by 2**-exponent (a scalar, or a (count, 1)
@@ -220,8 +267,8 @@ def _rates(y: np.ndarray, exponent, n: int, delta: int, theiler: int, nn: np.nda
     count = y.shape[0]
     flat_nn = nn + y.shape[1] * np.arange(count)[:, None]
     points = y.reshape(-1, y.shape[2])
-    d0 = np.ldexp(np.linalg.norm(y[:, :n] - points.take(flat_nn, axis=0), axis=2), exponent)
-    d1 = np.ldexp(np.linalg.norm(y[:, delta:] - points.take(flat_nn + delta, axis=0), axis=2), exponent)
+    d0 = _norms(y[:, :n], points.take(flat_nn, axis=0), exponent)
+    d1 = _norms(y[:, delta:], points.take(flat_nn + delta, axis=0), exponent)
     rates = np.log((d1 + eps) / (d0 + eps)) / delta
     j = np.arange(n)
     # rows with some j' outside the Theiler window and a finite distance to it
@@ -246,7 +293,8 @@ def lyapunov_exponents(segments, p: EmbeddingParams | None = None) -> tuple[np.n
     segment with no valid neighbor pair gets 0.0 and degenerate=True.
     Each segment is searched scaled by the power of two from its peak, so
     extreme amplitudes do not overflow; the exact scale is undone before eps
-    is added, so in-range results are unchanged.
+    is added, so in-range results are unchanged. A large search splits its
+    segments over threads as `lyapunov_windows` describes.
     """
     p = p or EmbeddingParams()
     segments = np.asarray(segments, dtype=np.float64)
@@ -275,6 +323,11 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
     reuses theirs. This is exact while every nonzero sample of the scaled
     clip is at least 2**-459 in magnitude (every squared difference is then a
     normal number); a clip below that bound runs on each segment's scale.
+
+    A window whose search has at least 32768 distance cells per segment
+    (w >= 512 at the default parameters) splits its independent segments into
+    contiguous ranges, one thread per CPU in `os.sched_getaffinity`; smaller
+    ones run on the calling thread. The results do not depend on the split.
     """
     p = p or EmbeddingParams()
     x = np.asarray(x, dtype=np.float64)

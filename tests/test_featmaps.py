@@ -209,6 +209,12 @@ class TestMradMrpd:
         with pytest.raises(InvalidArgumentError):
             MultiResSpecConfig(freq_bins=(512, 128), hops=(1024,), win_lengths=(2048,))
 
+    @pytest.mark.parametrize("name", ["freq_bins", "hops", "win_lengths"])
+    def test_bare_int_resolution_rejected(self, name):
+        cfg = {"freq_bins": (64,), "hops": (32,), "win_lengths": (128,)} | {name: 512}
+        with pytest.raises(InvalidArgumentError, match=f"{name} must be a tuple"):
+            MultiResSpecConfig(**cfg)
+
     # the BAD_SIZES cases with a bad entry: repeats are fine here
     @pytest.mark.parametrize(
         "entries", [s for s in BAD_SIZES if isinstance(s, tuple) and 0 < len(set(s)) == len(s)]

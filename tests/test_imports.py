@@ -1,7 +1,9 @@
 """Import budget: `import bwetools`, the CLI, `netinfo`, the STFT, `degrade`,
 `compare` and every extractor but MRLD load no scipy module at all; MRLD
-loads `scipy.spatial.distance` for `cdist`. Every name the benchmark's tracer
-wraps exists. Each check runs in a fresh interpreter."""
+loads `scipy.spatial.distance` for `cdist`. Importing the package and the CLI
+leaves `concurrent.futures`, which only MRLD's split search needs, unloaded.
+Every name the benchmark's tracer wraps exists. Each check runs in a fresh
+interpreter."""
 
 import os
 import subprocess
@@ -36,6 +38,12 @@ def scipy_loaded_after(code):
 
 def test_package_and_cli_import_load_no_heavy_scipy():
     assert scipy_loaded_after("import bwetools, bwetools.cli") == []
+
+
+def test_package_and_cli_import_leave_concurrent_futures_unloaded():
+    probe = "import sys, bwetools, bwetools.cli\nassert 'concurrent.futures' not in sys.modules"
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_netinfo_and_stft_leave_scipy_signal_unloaded():

@@ -1,9 +1,14 @@
+import os
+import sys
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
+from bwetools import nld
 from bwetools.demo import synthetic_speech
 from bwetools.errors import InvalidArgumentError
 from bwetools.featmaps import DEFAULT_LYAPUNOV_WINDOWS, mrld_features, mrld_raw_exponents
@@ -22,6 +27,9 @@ from bwetools.signal import Waveform, frame, load_wav, save_wav
 from conftest import logistic_orbit
 
 SCALES = (100, 200, 300, 500, 600)
+# the search's size threshold as shipped, and 0, which splits every search
+# over more than one segment across threads
+SPLIT_CELLS = (nld._SPLIT_CELLS, 0)
 
 
 class TestDelayEmbed:
@@ -105,6 +113,12 @@ class TestLocalLyapunov:
         with pytest.raises(InvalidArgumentError):
             local_lyapunov(np.ones(4), EmbeddingParams(d=3, tau=2, delta=2))
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan"), float("inf"), -float("inf")])
+    def test_bad_eps(self, eps):
+        # a NaN or infinite floor made every rate NaN, and MRLD flagged none
+        with pytest.raises(InvalidArgumentError, match="eps"):
+            EmbeddingParams(eps=eps)
+
 
 def reference_lyapunov(segment, p):
     """Dense one-segment estimator the batched kernel must match bit for bit:
@@ -165,10 +179,13 @@ class TestLyapunovKernel:
             if kind == "pcm16":
                 x = pcm16(0.01 * x)  # few levels: many exact distance ties
         segments = scale * x.reshape(count, length)
-        values, degenerate = lyapunov_exponents(segments, p)
-        for s, seg in enumerate(segments):
-            value, flag = reference_lyapunov(seg, p)
-            assert values[s] == value and degenerate[s] == flag
+        expected = [reference_lyapunov(seg, p) for seg in segments]
+        for cells in SPLIT_CELLS:
+            with mock.patch.object(nld, "_SPLIT_CELLS", cells):
+                values, degenerate = lyapunov_exponents(segments, p)
+            assert values.tolist() == [v for v, _ in expected]
+            assert degenerate.tolist() == [flag for _, flag in expected]
+        for seg, (value, flag) in zip(segments, expected):
             est = local_lyapunov(seg, p)
             assert est.value == value and est.degenerate == flag
 
@@ -224,16 +241,52 @@ class TestLyapunovKernel:
             # one sample below 2**-459 of the peak: the clip-wide search is not exact
             x[rng.integers(size)] = np.abs(x).max() * 2.0**-470
         wf = Waveform(x, 8000)
-        levels = lyapunov_windows(x, windows, p)
-        assert list(levels) == sorted(windows)
         span = (d - 1) * tau
-        for w, (values, degenerate) in levels.items():
-            if w < span + p.resolved(w)[0] + 1:
-                assert values.size == degenerate.size == 0
-                continue
-            expected = [reference_lyapunov(seg, p) for seg in frame(wf, w, w)]
-            assert values.tolist() == [v for v, _ in expected]
-            assert degenerate.tolist() == [flag for _, flag in expected]
+        expected = {
+            w: [reference_lyapunov(seg, p) for seg in frame(wf, w, w)]
+            for w in windows
+            if w >= span + p.resolved(w)[0] + 1
+        }
+        for cells in SPLIT_CELLS:
+            with mock.patch.object(nld, "_SPLIT_CELLS", cells):
+                levels = lyapunov_windows(x, windows, p)
+            assert list(levels) == sorted(windows)
+            for w, (values, degenerate) in levels.items():
+                if w not in expected:
+                    assert values.size == degenerate.size == 0
+                    continue
+                assert values.tolist() == [v for v, _ in expected[w]]
+                assert degenerate.tolist() == [flag for _, flag in expected[w]]
+
+    def test_split_search_raises_a_worker_error(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        searched = []
+
+        def search(lo, hi):
+            if lo:
+                raise RuntimeError(f"segments {lo} to {hi}")
+            searched.append((lo, hi))
+
+        # 2 CPUs: the calling thread searches [0, 2), a worker [2, 4) and fails
+        with pytest.raises(RuntimeError, match="segments 2 to 4"):
+            nld._over_segments(4, nld._SPLIT_CELLS, search)
+        assert searched == [(0, 2)]
+
+    def test_split_search_on_more_threads_than_cpus(self, monkeypatch):
+        # 8 threads on this process's CPUs, switching every microsecond: every
+        # range writes only its own segments, so the split changes no bit
+        x = synthetic_speech(duration=0.5, rate=16000, seed=5).samples
+        serial = lyapunov_windows(x, DEFAULT_LYAPUNOV_WINDOWS)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(nld, "_SPLIT_CELLS", 0):
+                split = lyapunov_windows(x, DEFAULT_LYAPUNOV_WINDOWS)
+        finally:
+            sys.setswitchinterval(interval)
+        for w, (values, degenerate) in serial.items():
+            assert np.array_equal(split[w][0], values) and np.array_equal(split[w][1], degenerate)
 
     def test_degenerate_cases(self):
         p = EmbeddingParams(d=2, tau=1, delta=1, theiler=0)
