@@ -8,8 +8,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError, _finite, _size, _sizes
-from .nld import EmbeddingParams, dfa_fluctuation, lyapunov_exponents, lyapunov_windows
-from .signal import Waveform, frame
+from .nld import dfa_fluctuation, lyapunov_windows
+from .signal import Waveform
 from .spectral import MagPhase, StftConfig, _mag_phase, _per_frame
 
 __all__ = [
@@ -107,11 +107,6 @@ def mrld_features(wf: Waveform, windows=DEFAULT_LYAPUNOV_WINDOWS) -> FeatureMapS
         "channels": channel_meta,
     }
     return FeatureMapStack(data, meta)
-
-
-def mrld_raw_exponents(wf: Waveform, window: int, p: EmbeddingParams | None = None) -> np.ndarray:
-    """Unnormalized per-segment exponents for one window size."""
-    return lyapunov_exponents(frame(wf, window, window), p)[0]
 
 
 def msdfa_features(

@@ -105,6 +105,8 @@ def _read_fmt(f, e: str) -> tuple:
     f.seek(max(size - used, 0) + size % 2, 1)
     if tag == _PCM and byte_rate != rate * align:
         raise ValueError("byte rate is not sample rate x block align")
+    if rate == 0:
+        raise ValueError("sample rate of 0 Hz")
     return tag, channels, rate, align, bits
 
 

@@ -120,6 +120,15 @@ class TestCompareCommand:
         save_wav(other, synthetic_speech(duration=1.0, rate=32000))
         assert main(["compare", str(speech_path), str(other)]) == EXIT_USAGE
 
+    def test_zero_rate_header_is_io_error(self, speech_path, tmp_path, capsys):
+        zero = tmp_path / "zero.wav"
+        save_wav(zero, synthetic_speech(duration=0.1, rate=8000), "pcm16")
+        blob = bytearray(zero.read_bytes())
+        blob[24:32] = bytes(8)  # sample rate and byte rate of the 44-byte header
+        zero.write_bytes(bytes(blob))
+        assert main(["compare", str(speech_path), str(zero)]) == EXIT_IO
+        assert "0 Hz" in capsys.readouterr().err
+
     def test_byte_identical_rerun(self, speech_path, tmp_path, capsys):
         low = tmp_path / "low.wav"
         main(["degrade", str(speech_path), "8000", str(low)])

@@ -9,12 +9,11 @@ from bwetools.featmaps import (
     MultiResSpecConfig,
     mrad_mrpd_features,
     mrld_features,
-    mrld_raw_exponents,
     msdfa_features,
     resolution_params,
 )
-from bwetools.nld import dfa_exponent, dfa_fluctuation
-from bwetools.signal import Waveform
+from bwetools.nld import dfa_exponent, dfa_fluctuation, lyapunov_exponents
+from bwetools.signal import Waveform, frame
 from bwetools.spectral import EPS_MAG, StftConfig, stft, to_mag_phase
 from conftest import logistic_orbit
 
@@ -68,8 +67,8 @@ class TestMrld:
         chaotic = Waveform(logistic_orbit(n) * 2 - 1, 48000)
         noisy = noise_wave(n, seed=3)
         for w in DEFAULT_LYAPUNOV_WINDOWS:
-            a = mrld_raw_exponents(chaotic, w)
-            b = mrld_raw_exponents(noisy, w)
+            a = lyapunov_exponents(frame(chaotic, w, w))[0]
+            b = lyapunov_exponents(frame(noisy, w, w))[0]
             pooled = np.sqrt((a.std() ** 2 + b.std() ** 2) / 2)
             assert abs(a.mean() - b.mean()) > 3 * pooled
 

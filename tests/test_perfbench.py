@@ -1,0 +1,28 @@
+"""The benchmark's canary items, run through perfbench/workloads.py as it is.
+
+Every workload is built at scale "canary" (fixed seed, 1 s clips), and each
+item of its cycle is prepared, run, counted and checked, then compared with
+its stored summary in perfbench/reference.json. A change to an API the
+benchmark calls, or to an output it checks, fails here.
+"""
+
+import importlib
+import json
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_canary_items_pass_their_checks(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads, checks = importlib.import_module("workloads"), importlib.import_module("checks")
+    references = json.loads((PERFBENCH / "reference.json").read_text())
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls(workloads.CANARY_SEED, "canary", tmp_path / name)
+        for item in workload.cycle:
+            workload.prepare(item)
+            result = workload.run(item)
+            workload.counts(item)
+            assert workload.check(item, result) == [], (name, item.key)
+            summary = checks.summarize(result)
+            assert checks.disagreements(references[name][item.key], summary) == [], (name, item.key)

@@ -33,9 +33,11 @@ from bwetools.signal import (
 def reference_load_wav(path) -> Waveform:
     """load_wav as it was on scipy.io.wavfile, the oracle for the numpy reader.
 
-    One line differs: the samples are brought to native byte order before the
+    Two lines differ. The samples are brought to native byte order before the
     dtype check. Without it every RIFX file was rejected, since
-    np.dtype(">i2") != np.int16; the numpy reader reads RIFX."""
+    np.dtype(">i2") != np.int16; the numpy reader reads RIFX. And a 0 Hz
+    header is an unsupported encoding, like every other malformed header,
+    where scipy read it and Waveform then raised InvalidArgumentError."""
     try:
         with open(path, "rb") as fh:
             rate, data = wavfile.read(fh)
@@ -45,6 +47,8 @@ def reference_load_wav(path) -> Waveform:
         raise UnreadableFileError(f"cannot open {path!r}: {exc}") from exc
     except Exception as exc:  # malformed RIFF, unsupported chunk layout
         raise UnsupportedEncodingError(f"unsupported encoding in {path!r}: {exc}") from exc
+    if rate == 0:
+        raise UnsupportedEncodingError(f"unsupported encoding in {path!r}: sample rate of 0 Hz")
 
     data = data.astype(data.dtype.newbyteorder("="))
     if data.dtype == np.int16:
