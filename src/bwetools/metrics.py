@@ -83,19 +83,52 @@ def _unit_peak(x: np.ndarray) -> np.ndarray:
     return np.ldexp(x, -peak_exponent(x))
 
 
-def _si_ratio(ref: np.ndarray, est: np.ndarray) -> float:
+_VELTKAMP = 134217729.0  # 2**27 + 1: splits a float64 into two halves of at most 26 bits
+_SI_BLOCK = 1 << 15  # samples per residual block
+
+
+def _split(x):
+    c = _VELTKAMP * x
+    hi = c - (c - x)
+    return hi, x - hi
+
+
+def _residual_energy(ref: np.ndarray, est: np.ndarray, alpha: float, offset: float) -> float:
+    """sum((est - alpha * ref - offset)**2), each residual rounded at its own
+    scale, not at est's. With alpha and ref split into halves of at most 26
+    bits, alpha_hi * ref_hi is exact, and so is est minus it wherever the two
+    are within a factor of 2 (Sterbenz), as they are for a close estimate;
+    the rest of alpha * ref is 2**-26 smaller, and so is its rounding error.
+    Runs _SI_BLOCK samples at a time, so its temporaries stay small."""
+    alpha_hi, alpha_lo = _split(alpha)
+    total = 0.0
+    for s in range(0, len(ref), _SI_BLOCK):
+        r, e = ref[s : s + _SI_BLOCK], est[s : s + _SI_BLOCK]
+        r_hi, r_lo = _split(r)
+        err = (e - alpha_hi * r_hi - offset) - (alpha_hi * r_lo + alpha_lo * r)
+        total += float(err @ err)
+    return total
+
+
+def _si_ratio(ref: np.ndarray, est: np.ndarray, centered: bool) -> float:
     # each signal's peak scaled into [0.5, 1), so 1e200 does not overflow the dot products
     ref = _unit_peak(ref)
     est = _unit_peak(est)
-    denom = float(ref @ ref)
+    ref_c, est_c, ref_mean, est_mean = ref, est, 0.0, 0.0
+    if centered:
+        ref_mean, est_mean = float(ref.mean()), float(est.mean())
+        ref_c, est_c = ref - ref_mean, est - est_mean
+    denom = float(ref_c @ ref_c)
     if denom == 0.0:
         raise InvalidArgumentError("reference signal is all zero")
-    target = (float(est @ ref) / denom) * ref
-    err = est - target
-    err_energy = float(err @ err)
-    target_energy = float(target @ target)
+    cross = float(est_c @ ref_c)
+    alpha = cross / denom
+    target_energy = alpha * cross
     if target_energy == 0.0:
         return -SI_CAP_DB
+    # the residual is taken from the uncentered signals: its energy is stationary
+    # in alpha and in both means, so their rounding errors reach it only squared
+    err_energy = _residual_energy(ref, est, alpha, est_mean - alpha * ref_mean)
     if err_energy == 0.0:
         return SI_CAP_DB
     value = 10.0 * np.log10(target_energy / err_energy)
@@ -107,24 +140,27 @@ def si_sdr(ref: Waveform, est: Waveform) -> float:
     (un-centered) reference.
 
     In dB on a 1e-9 dB grid, clipped to +/-SI_CAP_DB. Scaling ``ref`` or
-    ``est`` by any positive factor returns exactly the same float, unless the
-    true value lies within a few ULP of a grid point's rounding boundary."""
+    ``est`` by a power of two returns exactly the same float. Any other
+    positive factor rounds the scaled samples, which moves the true value by
+    up to some 1e-13 dB near 80 dB; the value is computed to within about
+    1e-14 dB of the true one for the samples given, so it changes only where
+    the true value lies that close to a grid point's rounding boundary."""
     r, e = _aligned(ref, est)
-    return _si_ratio(r, e)
+    return _si_ratio(r, e, centered=False)
 
 
 def si_snr(ref: Waveform, est: Waveform) -> float:
     """Scale-invariant SNR: same projection after mean-centering both.
 
-    In dB on a 1e-9 dB grid, clipped to +/-SI_CAP_DB. Scaling ``ref`` or
-    ``est`` by any positive factor returns exactly the same float, unless the
-    true value lies within a few ULP of a grid point's rounding boundary.
-    A constant reference (a DC clip, or any 1-sample clip) is all zero after
-    mean-centering, so it raises InvalidArgumentError saying so."""
+    In dB on a 1e-9 dB grid, clipped to +/-SI_CAP_DB, and scale-invariant as
+    si_sdr is while the means are small against the residual: a large mean
+    offset rounds the residual at its own scale. A constant reference (a DC
+    clip, or any 1-sample clip) is all zero after mean-centering, so it raises
+    InvalidArgumentError saying so."""
     r, e = _aligned(ref, est)
     if np.all(r == r[:1]):  # checked before centering, whose mean may be inexact
         raise InvalidArgumentError("reference signal is constant, so all zero after mean-centering")
-    return _si_ratio(r - r.mean(), e - e.mean())
+    return _si_ratio(r, e, centered=True)
 
 
 def _third_octave_bands(rate: int, n_fft: int, n_bands: int, first_center: float):

@@ -2,7 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bwetools.demo import synthetic_speech
@@ -118,6 +118,9 @@ class TestSiMetrics:
         noise=st.floats(min_value=1e-4, max_value=10.0),
         scale=st.floats(min_value=1e-100, max_value=1e100),
     )
+    # about 1e-13 dB above a rounding boundary of the 1e-9 dB grid, where
+    # rounding the centred signals and alpha * ref once tipped si_snr over it
+    @example(seed=357865, noise=0.0001, scale=4471657817455501.0)
     @settings(max_examples=100, deadline=None)
     def test_scale_invariance_property(self, seed, noise, scale):
         rng = np.random.default_rng(seed)
