@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidArgumentError, _size, _size_fields, _sizes
+from .errors import InvalidArgumentError, _finite, _size, _size_fields, _sizes
 from .signal import peak_exponent
 
 __all__ = [
@@ -153,42 +153,43 @@ def _over_segments(count: int, cells: int, search) -> None:
             future.result()
 
 
-def _nearest(pts: np.ndarray, n: int, theiler: int) -> tuple[np.ndarray, np.ndarray]:
-    """Exact nearest neighbor of each of the first n points of every segment
-    outside its Theiler window |j - j'| <= theiler: (distance, index), the
-    lowest index on ties. pts is (count, >= n, d)."""
+def _nearest(pts, rows: slice, cols: slice, theiler: int, columns: bool = False):
+    """Exact nearest neighbors within the block rows x cols of every segment
+    of pts, (count, points, d), outside the Theiler window |j - j'| <= theiler:
+    (distance, index) of each row among the columns and, with `columns`, of
+    each column among the rows (else None, None), as point indices, the
+    lowest on ties. A row or column with no pair outside the window gets inf."""
     from scipy.spatial.distance import cdist
 
     count = pts.shape[0]
-    band = _band(n, n, -theiler, theiler)
-    j = np.arange(n)
-    dist = np.empty((count, n))
-    nn = np.empty((count, n), dtype=np.intp)
+    m, k = rows.stop - rows.start, cols.stop - cols.start
+    offset = rows.start - cols.start
+    band = _band(m, k, offset - theiler, offset + theiler)
+    row_d, row_i = np.empty((count, m)), np.empty((count, m), dtype=np.intp)
+    col_d, col_i = (np.empty((count, k)), np.empty((count, k), dtype=np.intp)) if columns else (None, None)
+    r, c = np.arange(m), np.arange(k)
 
     def search(lo, hi):
-        buf = np.empty((n, n))
-        flat = buf.ravel()
+        block = np.empty((m, k))
+        flat = block.ravel()
         for s in range(lo, hi):
-            cdist(pts[s, :n], pts[s, :n], out=buf)
+            cdist(pts[s, rows], pts[s, cols], out=block)
             flat[band] = np.inf
-            buf.argmin(axis=1, out=nn[s])
-            dist[s] = buf[j, nn[s]]
+            block.argmin(axis=1, out=row_i[s])
+            row_d[s] = block[r, row_i[s]]
+            if columns:
+                block.argmin(axis=0, out=col_i[s])
+                col_d[s] = block[col_i[s], c]
 
-    _over_segments(count, n * n, search)
-    return dist, nn
-
-
-def _take_nearer(best_d, best_i, d, i) -> None:
-    """Merge candidates (d, i) into (best_d, best_i) in place. The candidates'
-    indices all come after the best's, so only a strictly smaller distance
-    wins: ties keep the lower index."""
-    nearer = d < best_d
-    np.copyto(best_d, d, where=nearer)
-    np.copyto(best_i, i, where=nearer)
+    _over_segments(count, m * k, search)
+    row_i += cols.start
+    if columns:
+        col_i += rows.start
+    return row_d, row_i, col_d, col_i
 
 
 def _nearest_from_halves(pts, n, theiler, h, half_dist, half_nn):
-    """`_nearest` at window w = 2h, built from the nearest neighbors at h.
+    """`_nearest` of [0, n) at window w = 2h, built from the neighbors at h.
 
     Segment s at w is segments 2s (A) and 2s+1 (B) at h: its points [0, nh)
     are A's searched points, [h, h + nh) are B's, and the gap [nh, h) is
@@ -197,89 +198,67 @@ def _nearest_from_halves(pts, n, theiler, h, half_dist, half_nn):
     row minima are the nearest neighbors of A and the gap among [nh, n), its
     column minima those of the gap and B among [0, g). B's own neighbors
     count only where they lie before n; the other B rows are searched again
-    over [h, n). Candidates merge in index order, so ties keep the lowest
-    index. pts is the clip embedding cut at w, and every distance, half_dist
-    included, must be on that one scale; the Theiler window does not depend
-    on w.
+    over [h, n), split over threads as the block was. The row minima and B's
+    own neighbors then replace a column or A neighbor only when strictly
+    nearer, so ties keep the lowest index. pts is the clip embedding cut at
+    w, and every distance, half_dist included, must be on that one scale;
+    the Theiler window does not depend on w.
     """
     from scipy.spatial.distance import cdist
 
     count = pts.shape[0]
     nh = half_dist.shape[1]
     g = min(h, n)
-    band = _band(g, n - nh, -nh - theiler, theiler - nh)
-    row_d = np.empty((count, g))
-    row_i = np.empty((count, g), dtype=np.intp)
-    col_d = np.empty((count, n - nh))
-    col_i = np.empty((count, n - nh), dtype=np.intp)
-    rows, cols = np.arange(g), np.arange(n - nh)
+    row_d, row_i, col_d, col_i = _nearest(pts, slice(0, g), slice(nh, n), theiler, columns=True)
+    dist = np.concatenate((half_dist[0 : 2 * count : 2], col_d), axis=1)
+    nn = np.concatenate((half_nn[0 : 2 * count : 2], col_i), axis=1)
+    # candidates for rows [0, g), then for B's rows [h, n) when n > h = g
+    cand_d = np.concatenate((row_d, half_dist[1 : 2 * count : 2, : n - g]), axis=1)
+    cand_i = np.concatenate((row_i, half_nn[1 : 2 * count : 2, : n - g] + h), axis=1)
+    window = np.abs(np.subtract.outer(np.arange(n - g), np.arange(n - g))) <= theiler
 
-    def search(lo, hi):
-        block = np.empty((g, n - nh))
-        flat = block.ravel()
+    def research(lo, hi):
         for s in range(lo, hi):
-            cdist(pts[s, :g], pts[s, nh:n], out=block)
-            flat[band] = np.inf
-            block.argmin(axis=1, out=row_i[s])
-            row_d[s] = block[rows, row_i[s]]
-            block.argmin(axis=0, out=col_i[s])
-            col_d[s] = block[col_i[s], cols]
+            r = h + np.flatnonzero(cand_i[s, h:] >= n)
+            if r.size:
+                again = cdist(pts[s, r], pts[s, h:n])
+                again[window[r - h]] = np.inf
+                cand_i[s, r] = again.argmin(axis=1) + h
+                cand_d[s, r] = again.min(axis=1)
 
-    _over_segments(count, g * (n - nh), search)
-    dist = np.empty((count, n))
-    nn = np.empty((count, n), dtype=np.intp)
-    dist[:, :nh] = half_dist[0 : 2 * count : 2]
-    nn[:, :nh] = half_nn[0 : 2 * count : 2]
-    dist[:, nh:], nn[:, nh:] = col_d, col_i
-    _take_nearer(dist[:, :g], nn[:, :g], row_d, row_i + nh)
-    c = n - g  # B's points that remain at w
-    if c:
-        own_d = half_dist[1 : 2 * count : 2, :c].copy()
-        own_i = half_nn[1 : 2 * count : 2, :c] + h
-        seg, row = np.nonzero(own_i >= n)
-        if seg.size:
-            mask = np.abs(np.subtract.outer(cols[:c], cols[:c])) <= theiler
-            cuts = np.flatnonzero(np.diff(seg)) + 1
-            found_d, found_i = [], []
-            for s, r in zip(seg[np.r_[0, cuts]], np.split(row, cuts)):
-                again = cdist(pts[s, h + r], pts[s, h:n])
-                again[mask[r]] = np.inf
-                found_i.append(again.argmin(axis=1))
-                found_d.append(again.min(axis=1))
-            own_d[seg, row] = np.concatenate(found_d)
-            own_i[seg, row] = np.concatenate(found_i) + h
-        _take_nearer(dist[:, h:], nn[:, h:], own_d, own_i)
+    _over_segments(count, g * (n - nh), research)
+    nearer = cand_d < dist
+    np.copyto(dist, cand_d, where=nearer)
+    np.copyto(nn, cand_i, where=nearer)
     return dist, nn
 
 
 def _norms(a: np.ndarray, b: np.ndarray, exponent) -> np.ndarray:
     """np.ldexp(np.linalg.norm(a - b, axis=2), exponent) bit for bit, by norm's
-    own reduction, with no temporary beyond b, which it overwrites."""
+    own reduction, with no temporary beyond b, which it overwrites. A norm
+    that overflows raises InvalidArgumentError."""
     np.subtract(a, b, out=b)
     np.square(b, out=b)
-    return np.ldexp(np.sqrt(b.sum(axis=2)), exponent)
+    with np.errstate(over="ignore"):  # an overflow raises below instead
+        return _finite(np.ldexp(np.sqrt(b.sum(axis=2)), exponent), "the array of neighbor distances")
 
 
 def _rates(y: np.ndarray, exponent, n: int, delta: int, theiler: int, nn: np.ndarray, eps: float):
     """The one-window kernel: (values, degenerate) of embedded segments y,
     (count, n + delta, d), scaled by 2**-exponent (a scalar, or a (count, 1)
-    column), given nn, the nearest neighbor of each of their first n points."""
+    column), given nn, the nearest neighbor of each of their first n points.
+    Needs theiler < n - 1, so that some rows have a point outside the window."""
     count = y.shape[0]
     flat_nn = nn + y.shape[1] * np.arange(count)[:, None]
     points = y.reshape(-1, y.shape[2])
     d0 = _norms(y[:, :n], points.take(flat_nn, axis=0), exponent)
     d1 = _norms(y[:, delta:], points.take(flat_nn + delta, axis=0), exponent)
-    rates = np.log((d1 + eps) / (d0 + eps)) / delta
     j = np.arange(n)
-    # rows with some j' outside the Theiler window and a finite distance to it
-    valid = ((j > theiler) | (j < n - 1 - theiler)) & np.isfinite(d0)
-    values = np.zeros(count)
-    full = valid.all(axis=1)
-    values[full] = rates[full].mean(axis=1)
-    # partly valid rows are compacted first, so their sums keep the 1-D order
-    for s in np.flatnonzero(~full & valid.any(axis=1)):
-        values[s] = rates[s, valid[s]].mean()
-    return values, ~valid.any(axis=1)
+    # rows with some j' outside the Theiler window, the same in every segment;
+    # compacted first, so each row's sum keeps the 1-D order
+    valid = (j > theiler) | (j < n - 1 - theiler)
+    rates = np.compress(valid, np.log((d1 + eps) / (d0 + eps)) / delta, axis=1)
+    return rates.mean(axis=1), np.zeros(count, dtype=bool)
 
 
 def lyapunov_exponents(segments, p: EmbeddingParams | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -289,11 +268,13 @@ def lyapunov_exponents(segments, p: EmbeddingParams | None = None) -> tuple[np.n
     neighbor j' outside the Theiler window |j - j'| <= theiler is found by
     exact search (ties go to the lowest index), and the estimate is the mean
     of (1/delta) * log((|y[j+delta]-y[j'+delta]| + eps) / (|y[j]-y[j']| + eps))
-    over all such pairs (Euclidean norm). Returns (values, degenerate); a
-    segment with no valid neighbor pair gets 0.0 and degenerate=True.
+    over all such pairs (Euclidean norm). Returns (values, degenerate); when
+    the window covers every pair (theiler >= n - 1, n the points with a
+    future) each segment gets 0.0 and degenerate=True.
     Each segment is searched scaled by the power of two from its peak, so
     extreme amplitudes do not overflow; the exact scale is undone before eps
-    is added, so in-range results are unchanged. A large search splits its
+    is added, so in-range results are unchanged, and a neighbor distance too
+    large for a float raises InvalidArgumentError. A large search splits its
     segments over threads as `lyapunov_windows` describes.
     """
     p = p or EmbeddingParams()
@@ -302,11 +283,12 @@ def lyapunov_exponents(segments, p: EmbeddingParams | None = None) -> tuple[np.n
         raise InvalidArgumentError("segments must be a (count, length) array")
     count, length = segments.shape
     n, delta, theiler = _horizon(length, p)
-    if n < 2 or count == 0:
+    if theiler >= n - 1 or count == 0:  # no pair outside the Theiler window
         return np.zeros(count), np.ones(count, dtype=bool)
     exponent = peak_exponent(segments, axis=1)
     y = delay_embed(np.ldexp(segments, -exponent), p.d, p.tau)
-    return _rates(y, exponent, n, delta, theiler, _nearest(y, n, theiler)[1], p.eps)
+    nn = _nearest(y, slice(0, n), slice(0, n), theiler)[1]
+    return _rates(y, exponent, n, delta, theiler, nn, p.eps)
 
 
 def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
@@ -345,14 +327,14 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
         except InvalidArgumentError:
             out[w] = (np.empty(0), np.empty(0, dtype=bool))
             continue
-        if not (shared and n >= 2 and count):
+        if not (shared and theiler < n - 1 and count):
             out[w] = lyapunov_exponents(x[: count * w].reshape(count, w), p)
             continue
         pts = delay_embed(z[: count * w].reshape(count, w), p.d, p.tau)
         if searched is not None and 2 * searched[0] == w:
             searched = (w, *_nearest_from_halves(pts, n, theiler, *searched))
         else:
-            searched = (w, *_nearest(pts, n, theiler))
+            searched = (w, *_nearest(pts, slice(0, n), slice(0, n), theiler)[:2])
         out[w] = _rates(pts, exponent, n, delta, theiler, searched[2], p.eps)
         del pts  # not held while the next window is embedded
     return out
@@ -364,13 +346,23 @@ def local_lyapunov(segment, p: EmbeddingParams | None = None) -> LyapunovEstimat
     return LyapunovEstimate(float(values[0]), bool(degenerate[0]))
 
 
+def _unscale(value: float, exponent: int, what: str) -> float:
+    """math.ldexp(value, exponent): a result evaluated at unit peak taken back
+    to the input's scale, InvalidArgumentError naming `what` if it overflows."""
+    try:
+        return math.ldexp(value, exponent)
+    except OverflowError:
+        raise InvalidArgumentError(f"{what} overflows at this amplitude") from None
+
+
 def dfa_fluctuation(x, n: int) -> float:
     """DFA-1 fluctuation at one box size n, an integer >= 2.
 
     Cumulative profile of the centered series, split into floor(len/n)
     non-overlapping boxes, linear detrend per box, RMS of the per-box mean
     squared residuals. x is evaluated scaled by the power of two from its
-    peak, so F(2**k * x) == 2**k * F(x) exactly while both are finite.
+    peak, so F(2**k * x) == 2**k * F(x) exactly while both are finite; an F
+    too large for a float raises InvalidArgumentError.
     """
     x = np.asarray(x, dtype=np.float64)
     n = _size(n, "DFA scale", 2)
@@ -389,7 +381,7 @@ def dfa_fluctuation(x, n: int) -> float:
     design = np.vstack([t, np.ones(n)]).T
     coef, *_ = np.linalg.lstsq(design, boxes.T, rcond=None)
     resid = boxes.T - design @ coef
-    return math.ldexp(float(np.sqrt(np.mean(resid**2))), exponent)
+    return _unscale(float(np.sqrt(np.mean(resid**2))), exponent, "the DFA fluctuation")
 
 
 def dfa_exponent(x, scales) -> float:
@@ -411,7 +403,10 @@ def recurrence_plot(x, max_size: int = 512) -> RecurrencePlot:
 
     Sequences longer than max_size (an integer >= 2) are decimated by a
     uniform stride first. The threshold is the mean of the strict upper
-    triangle; the diagonal is forced to 1.
+    triangle; the diagonal is forced to 1. Distances are evaluated scaled by
+    the power of two from the peak, so the matrix does not depend on 2**k
+    scaling and the threshold scales exactly; one too large for a float
+    raises InvalidArgumentError.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size < 2:
@@ -420,11 +415,13 @@ def recurrence_plot(x, max_size: int = 512) -> RecurrencePlot:
     if x.size > max_size:
         stride = math.ceil(x.size / max_size)
         x = x[::stride]
+    exponent = peak_exponent(x).item()
+    x = np.ldexp(x, -exponent)
     dist = np.abs(x[:, None] - x[None, :])
     threshold = float(np.mean(dist[np.triu_indices(x.size, k=1)]))
     matrix = (dist < threshold).astype(np.uint8)
     np.fill_diagonal(matrix, 1)
-    return RecurrencePlot(matrix, threshold)
+    return RecurrencePlot(matrix, _unscale(threshold, exponent, "the recurrence threshold"))
 
 
 def poincare_sd(x) -> PoincareDescriptors:
@@ -434,7 +431,8 @@ def poincare_sd(x) -> PoincareDescriptors:
     moment; the mean difference telescopes to ~0 for stationary segments),
     SD2^2 = 2*Var(x) - SD1^2 with population variance, so that
     SD1^2 + SD2^2 == 2*Var(x) holds identically. x is evaluated scaled by
-    the power of two from its peak, so both scale exactly with 2**k * x.
+    the power of two from its peak, so both scale exactly with 2**k * x
+    while finite; one too large for a float raises InvalidArgumentError.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.size < 3:
@@ -447,5 +445,5 @@ def poincare_sd(x) -> PoincareDescriptors:
     sd1_sq = var_dx / 2.0
     sd2_sq = 2.0 * var_x - sd1_sq
     clamped = sd2_sq < 0
-    sd1, sd2 = math.sqrt(sd1_sq), math.sqrt(max(sd2_sq, 0.0))
-    return PoincareDescriptors(math.ldexp(sd1, exponent), math.ldexp(sd2, exponent), clamped)
+    sd1, sd2 = (_unscale(math.sqrt(v), exponent, "a Poincare descriptor") for v in (sd1_sq, max(sd2_sq, 0.0)))
+    return PoincareDescriptors(sd1, sd2, clamped)

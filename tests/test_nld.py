@@ -11,7 +11,7 @@ from scipy.spatial.distance import cdist
 from bwetools import nld
 from bwetools.demo import synthetic_speech
 from bwetools.errors import InvalidArgumentError
-from bwetools.featmaps import DEFAULT_LYAPUNOV_WINDOWS, mrld_features
+from bwetools.featmaps import DEFAULT_LYAPUNOV_WINDOWS, mrld_features, msdfa_features
 from bwetools.nld import (
     EmbeddingParams,
     delay_embed,
@@ -210,7 +210,7 @@ class TestLyapunovKernel:
         tau=st.integers(1, 3),
         delta=st.one_of(st.none(), st.integers(1, 8)),
         theiler=st.one_of(st.none(), st.integers(0, 40)),
-        amplitude=st.sampled_from([1.0, 1e200, 1e-200]),
+        amplitude=st.sampled_from([1.0, 1e200, 1e-200, 2.0**1020]),
         below_floor=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
@@ -307,6 +307,20 @@ class TestLyapunovKernel:
         with pytest.raises(InvalidArgumentError):
             lyapunov_exponents(np.ones(64))
 
+    def test_overflowing_distance_raises(self):
+        # at a peak of about 1.7e308 some neighbor distances exceed the largest
+        # float: no +inf exponent flagged valid, no channel silently degenerate
+        wf = synthetic_speech(duration=0.5, seed=0)
+        loud = Waveform(wf.samples / np.abs(wf.samples).max() * 1.7e308, wf.rate)
+        calls = [
+            lambda: lyapunov_exponents(frame(loud, 64, 64)),
+            lambda: lyapunov_windows(loud.samples, DEFAULT_LYAPUNOV_WINDOWS),
+            lambda: mrld_features(loud),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidArgumentError, match="neighbor distances"):
+                call()
+
     def test_mrld_matches_reference_on_pcm16_speech(self, tmp_path):
         path = tmp_path / "speech.wav"
         save_wav(path, synthetic_speech(duration=0.5, seed=3), encoding="pcm16")
@@ -392,6 +406,18 @@ class TestDfa:
         assert (ds.sd1, ds.sd2) == (np.ldexp(d.sd1, k), np.ldexp(d.sd2, k))
         assert ds.clamped == d.clamped
 
+    def test_overflowing_fluctuation_raises(self):
+        wf = synthetic_speech(duration=0.5, seed=0)
+        loud = Waveform(np.ldexp(wf.samples, 1023), wf.rate)
+        calls = [
+            lambda: dfa_fluctuation(loud.samples, 200),
+            lambda: dfa_exponent(loud.samples, SCALES),
+            lambda: msdfa_features(loud),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidArgumentError, match="DFA fluctuation overflows"):
+                call()
+
     def test_exponent_ignores_scale_order(self):
         x = np.random.default_rng(3).standard_normal(8192)
         assert dfa_exponent(x, (300, 100, 200)) == dfa_exponent(x, (100, 200, 300))
@@ -425,6 +451,20 @@ class TestRecurrencePlot:
         rp = recurrence_plot(np.random.default_rng(0).standard_normal(2000), max_size=256)
         assert rp.matrix.shape[0] <= 256
 
+    @given(seed=st.integers(0, 2**16), k=st.sampled_from([-1000, 0, 1000, 1020]))
+    @settings(max_examples=25, deadline=None)
+    def test_power_of_two_scale_is_exact(self, seed, k):
+        """The matrix of 2**k x equals that of x and its threshold is exactly
+        2**k times x's, where the plain mean overflows at k = 1020."""
+        x = synthetic_speech(duration=0.5, seed=seed).samples
+        rp, scaled = recurrence_plot(x), recurrence_plot(np.ldexp(x, k))
+        assert np.array_equal(scaled.matrix, rp.matrix)
+        assert scaled.threshold == np.ldexp(rp.threshold, k)
+
+    def test_overflowing_threshold_raises(self):
+        with pytest.raises(InvalidArgumentError, match="recurrence threshold overflows"):
+            recurrence_plot(np.tile([1.7e308, -1.7e308], 8))
+
     def test_too_short(self):
         with pytest.raises(InvalidArgumentError):
             recurrence_plot(np.array([1.0]))
@@ -457,6 +497,10 @@ class TestPoincare:
             d = poincare_sd(x)
             if not d.clamped:
                 assert d.sd1**2 + d.sd2**2 == pytest.approx(2 * np.var(x), rel=1e-9)
+
+    def test_overflowing_descriptor_raises(self):
+        with pytest.raises(InvalidArgumentError, match="Poincare descriptor overflows"):
+            poincare_sd(np.tile([1.7e308, -1.7e308], 8))
 
     def test_too_short(self):
         with pytest.raises(InvalidArgumentError):
