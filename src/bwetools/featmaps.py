@@ -113,9 +113,10 @@ def msdfa_features(
     wf: Waveform, scales=DEFAULT_DFA_SCALES, side: int = 64
 ) -> FeatureMapStack:
     """DFA fluctuations tiled into constant side x side maps, one per scale, in
-    ascending scale order. Scales must be distinct integers >= 1, and the
-    tile side an integer >= 1."""
-    scales = _sizes(scales, "DFA scales")
+    ascending scale order. Scales must be distinct integers >= 2, and the
+    tile side an integer >= 1. A scale longer than half the clip gives a zero
+    map flagged degenerate."""
+    scales = [_size(n, "DFA scale", 2) for n in _sizes(scales, "DFA scales")]
     side = _size(side, "tile side", 1)
     data = np.zeros((len(scales), side, side))
     channel_meta = []

@@ -10,7 +10,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError
-from .signal import Waveform, peak_exponent, resample
+from .signal import Waveform, resample, unit_peak
 from .spectral import StftConfig, _per_frame
 
 __all__ = ["MetricReport", "lsd", "si_sdr", "si_snr", "stoi", "evaluate"]
@@ -77,12 +77,6 @@ def lsd(ref: Waveform, est: Waveform) -> float:
     return float(np.mean(_per_frame(frame_rms, cfg, r, e)))
 
 
-def _unit_peak(x: np.ndarray) -> np.ndarray:
-    """x scaled by a power of two to a peak in [0.5, 1), exactly; all-zero x
-    unchanged."""
-    return np.ldexp(x, -peak_exponent(x))
-
-
 _VELTKAMP = 134217729.0  # 2**27 + 1: splits a float64 into two halves of at most 26 bits
 _SI_BLOCK = 1 << 15  # samples per residual block
 
@@ -112,8 +106,7 @@ def _residual_energy(ref: np.ndarray, est: np.ndarray, alpha: float, offset: flo
 
 def _si_ratio(ref: np.ndarray, est: np.ndarray, centered: bool) -> float:
     # each signal's peak scaled into [0.5, 1), so 1e200 does not overflow the dot products
-    ref = _unit_peak(ref)
-    est = _unit_peak(est)
+    ref, est = unit_peak(ref)[0], unit_peak(est)[0]
     ref_c, est_c, ref_mean, est_mean = ref, est, 0.0, 0.0
     if centered:
         ref_mean, est_mean = float(ref.mean()), float(est.mean())
@@ -196,8 +189,8 @@ def stoi(ref: Waveform, est: Waveform) -> float:
         raise InvalidArgumentError("stoi needs at least 0.4 s of audio")
     # each signal's peak scaled into [0.5, 1), so 1e200 or 1e-200 neither
     # overflows nor underflows the band powers
-    x = resample(Waveform(_unit_peak(ref.samples), ref.rate), c["rate"]).samples
-    y = resample(Waveform(_unit_peak(est.samples), est.rate), c["rate"]).samples
+    x = resample(Waveform(unit_peak(ref.samples)[0], ref.rate), c["rate"]).samples
+    y = resample(Waveform(unit_peak(est.samples)[0], est.rate), c["rate"]).samples
     n = min(x.size, y.size)
     x, y = x[:n], y[:n]
 

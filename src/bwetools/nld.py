@@ -12,7 +12,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError, _finite, _size, _size_fields, _sizes
-from .signal import peak_exponent
+from .signal import unit_peak
 
 __all__ = [
     "EmbeddingParams",
@@ -247,7 +247,9 @@ def _rates(y: np.ndarray, exponent, n: int, delta: int, theiler: int, nn: np.nda
     """The one-window kernel: (values, degenerate) of embedded segments y,
     (count, n + delta, d), scaled by 2**-exponent (a scalar, or a (count, 1)
     column), given nn, the nearest neighbor of each of their first n points.
-    Needs theiler < n - 1, so that some rows have a point outside the window."""
+    Needs theiler < n - 1, so that some rows have a point outside the window.
+    A rate that is not finite (a distance ratio past the float range) raises
+    InvalidArgumentError."""
     count = y.shape[0]
     flat_nn = nn + y.shape[1] * np.arange(count)[:, None]
     points = y.reshape(-1, y.shape[2])
@@ -257,54 +259,48 @@ def _rates(y: np.ndarray, exponent, n: int, delta: int, theiler: int, nn: np.nda
     # rows with some j' outside the Theiler window, the same in every segment;
     # compacted first, so each row's sum keeps the 1-D order
     valid = (j > theiler) | (j < n - 1 - theiler)
-    rates = np.compress(valid, np.log((d1 + eps) / (d0 + eps)) / delta, axis=1)
-    return rates.mean(axis=1), np.zeros(count, dtype=bool)
+    with np.errstate(over="ignore", divide="ignore"):  # a non-finite rate raises below instead
+        rates = np.log(np.compress(valid, (d1 + eps) / (d0 + eps), axis=1)) / delta
+    return _finite(rates, "the array of divergence rates").mean(axis=1), np.zeros(count, dtype=bool)
 
 
 def lyapunov_exponents(segments, p: EmbeddingParams | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Local Lyapunov exponents of equal-length segments, one per row.
+    """Local Lyapunov exponents of equal-length segments, one per row: the
+    `lyapunov_windows` entry of the rows laid end to end, at the row length.
+    A row too short for the embedding raises InvalidArgumentError."""
+    p = p or EmbeddingParams()
+    segments = np.asarray(segments, dtype=np.float64)
+    if segments.ndim != 2:
+        raise InvalidArgumentError("segments must be a (count, length) array")
+    length = segments.shape[1]
+    _horizon(length, p)  # a row too short raises here, not as an empty window
+    return lyapunov_windows(segments.ravel(), [length], p)[length]
+
+
+def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
+    """Local Lyapunov exponents of x cut into non-overlapping windows, per size.
+
+    Returns {window: (values, degenerate)} in ascending window order, one
+    entry per whole segment of w samples; a window too short for the
+    embedding gets empty arrays. Windows must be distinct integers >= 1.
 
     Per segment: for each embedded point j (with j+delta valid) the nearest
     neighbor j' outside the Theiler window |j - j'| <= theiler is found by
     exact search (ties go to the lowest index), and the estimate is the mean
     of (1/delta) * log((|y[j+delta]-y[j'+delta]| + eps) / (|y[j]-y[j']| + eps))
-    over all such pairs (Euclidean norm). Returns (values, degenerate); when
-    the window covers every pair (theiler >= n - 1, n the points with a
-    future) each segment gets 0.0 and degenerate=True.
-    Each segment is searched scaled by the power of two from its peak, so
-    extreme amplitudes do not overflow; the exact scale is undone before eps
-    is added, so in-range results are unchanged, and a neighbor distance too
-    large for a float raises InvalidArgumentError. A large search splits its
-    segments over threads as `lyapunov_windows` describes.
-    """
-    p = p or EmbeddingParams()
-    segments = np.asarray(segments, dtype=np.float64)
-    if segments.ndim != 2:
-        raise InvalidArgumentError("segments must be a (count, length) array")
-    count, length = segments.shape
-    n, delta, theiler = _horizon(length, p)
-    if theiler >= n - 1 or count == 0:  # no pair outside the Theiler window
-        return np.zeros(count), np.ones(count, dtype=bool)
-    exponent = peak_exponent(segments, axis=1)
-    y = delay_embed(np.ldexp(segments, -exponent), p.d, p.tau)
-    nn = _nearest(y, slice(0, n), slice(0, n), theiler)[1]
-    return _rates(y, exponent, n, delta, theiler, nn, p.eps)
+    over all such pairs (Euclidean norm). When the window covers every pair
+    (theiler >= n - 1, n the points with a future) each segment gets 0.0 and
+    degenerate=True.
 
-
-def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
-    """`lyapunov_exponents` of x cut into non-overlapping windows, per size.
-
-    Returns {window: (values, degenerate)} in ascending window order, each
-    equal to `lyapunov_exponents` of that window's segments; a window too
-    short for the embedding gets empty arrays. Windows must be distinct
-    integers >= 1.
-
-    Each window is embedded once, on the clip scaled by the power of two from
-    its peak, and searched and measured on those points. So segment s at w is
-    segments 2s and 2s+1 at w/2 and, when w/2 is in the set, the search at w
-    reuses theirs. This is exact while every nonzero sample of the scaled
-    clip is at least 2**-459 in magnitude (every squared difference is then a
-    normal number); a clip below that bound runs on each segment's scale.
+    Distances are measured on the clip scaled by the power of two from its
+    peak, and the exact scale is undone before eps is added, so extreme
+    amplitudes do not overflow and in-range results are unchanged. On that
+    one scale, segment s at w is segments 2s and 2s+1 at w/2 and, when w/2
+    is in the set, the search at w reuses theirs. This is exact while every nonzero sample of
+    the scaled clip is at least 2**-459 in magnitude (every squared
+    difference is then a normal number); below that each segment is scaled
+    by its own peak and searched alone. A neighbor distance or a rate too
+    large for a float raises InvalidArgumentError.
 
     A window whose search has at least 32768 distance cells per segment
     (w >= 512 at the default parameters) splits its independent segments into
@@ -315,8 +311,7 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise InvalidArgumentError("x must be one-dimensional")
-    exponent = peak_exponent(x).item()
-    z = np.ldexp(x, -exponent)
+    z, exponent = unit_peak(x)
     shared = bool(np.all((z == 0) | (np.abs(z) >= _SHARED_SCALE_FLOOR)))
     out = {}
     searched = None  # (window, distances, neighbors) on the clip scale
@@ -327,15 +322,19 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
         except InvalidArgumentError:
             out[w] = (np.empty(0), np.empty(0, dtype=bool))
             continue
-        if not (shared and theiler < n - 1 and count):
-            out[w] = lyapunov_exponents(x[: count * w].reshape(count, w), p)
+        if theiler >= n - 1 or count == 0:  # no pair outside the Theiler window
+            out[w] = (np.zeros(count), np.ones(count, dtype=bool))
             continue
-        pts = delay_embed(z[: count * w].reshape(count, w), p.d, p.tau)
-        if searched is not None and 2 * searched[0] == w:
+        if shared:
+            scaled, scale = z[: count * w].reshape(count, w), exponent
+        else:  # each segment on its own scale, searched alone
+            scaled, scale = unit_peak(x[: count * w].reshape(count, w), axis=1)
+        pts = delay_embed(scaled, p.d, p.tau)
+        if shared and searched is not None and 2 * searched[0] == w:
             searched = (w, *_nearest_from_halves(pts, n, theiler, *searched))
         else:
             searched = (w, *_nearest(pts, slice(0, n), slice(0, n), theiler)[:2])
-        out[w] = _rates(pts, exponent, n, delta, theiler, searched[2], p.eps)
+        out[w] = _rates(pts, scale, n, delta, theiler, searched[2], p.eps)
         del pts  # not held while the next window is embedded
     return out
 
@@ -372,8 +371,7 @@ def dfa_fluctuation(x, n: int) -> float:
         # centering a constant series leaves rounding dust in the profile;
         # the fluctuation is zero by definition
         return 0.0
-    exponent = peak_exponent(x).item()
-    x = np.ldexp(x, -exponent)
+    x, exponent = unit_peak(x)
     profile = np.cumsum(x - x.mean())
     n_boxes = profile.size // n
     boxes = profile[: n_boxes * n].reshape(n_boxes, n)
@@ -415,8 +413,7 @@ def recurrence_plot(x, max_size: int = 512) -> RecurrencePlot:
     if x.size > max_size:
         stride = math.ceil(x.size / max_size)
         x = x[::stride]
-    exponent = peak_exponent(x).item()
-    x = np.ldexp(x, -exponent)
+    x, exponent = unit_peak(x)
     dist = np.abs(x[:, None] - x[None, :])
     threshold = float(np.mean(dist[np.triu_indices(x.size, k=1)]))
     matrix = (dist < threshold).astype(np.uint8)
@@ -437,8 +434,7 @@ def poincare_sd(x) -> PoincareDescriptors:
     x = np.asarray(x, dtype=np.float64)
     if x.size < 3:
         raise InvalidArgumentError("need at least 3 samples")
-    exponent = peak_exponent(x).item()
-    x = np.ldexp(x, -exponent)
+    x, exponent = unit_peak(x)
     dx = np.diff(x)
     var_dx = float(np.mean(dx**2))
     var_x = float(np.var(x))

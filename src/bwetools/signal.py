@@ -24,7 +24,7 @@ __all__ = [
     "resample",
     "degrade",
     "frame",
-    "peak_exponent",
+    "unit_peak",
 ]
 
 KAISER_BETA = 8.6  # resampling filter's Kaiser window: sets the stopband attenuation
@@ -358,10 +358,14 @@ def frame(wf: Waveform, size: int, hop: int) -> np.ndarray:
     return sliding_window_view(wf.samples, size)[::hop].copy()
 
 
-def peak_exponent(x: np.ndarray, axis: int | None = None) -> np.ndarray:
-    """math.frexp's exponent e of the peak |x|, 0 for all-zero input; per slice
-    along `axis` when given, reduced axes kept. np.ldexp(x, -e) brings each peak
-    into [0.5, 1) exactly, so 1e200- or 1e-200-sized input neither overflows nor
-    underflows downstream, and in-range results are unchanged."""
+def unit_peak(x: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, int | np.ndarray]:
+    """(x * 2**-e, e), e being math.frexp's exponent of the peak |x| (0 for
+    all-zero input): a Python int, or per slice along `axis` when given, with
+    the reduced axis kept. Each peak lands in [0.5, 1) exactly, so 1e200- or
+    1e-200-sized input neither overflows nor underflows downstream, and
+    in-range results are unchanged."""
     kw = dict(axis=axis, keepdims=True, initial=0.0)
-    return np.frexp(np.maximum(x.max(**kw), -x.min(**kw)))[1]
+    e = np.frexp(np.maximum(x.max(**kw), -x.min(**kw)))[1]
+    if axis is None:
+        e = e.item()
+    return np.ldexp(x, -e), e

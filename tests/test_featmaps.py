@@ -138,6 +138,12 @@ class TestMsdfa:
         with pytest.raises(InvalidArgumentError):
             extract(noise_wave(4096), scales)
 
+    @pytest.mark.parametrize("length", [1, 500])
+    def test_scale_one_rejected_at_any_length(self, length):
+        # a 1-sample clip flagged scale 1 degenerate, a 500-sample one raised
+        with pytest.raises(InvalidArgumentError, match="DFA scale must be an integer >= 2"):
+            msdfa_features(noise_wave(length), scales=(1, 100))
+
     @pytest.mark.parametrize("side", [8.7, "8", None, True, float("nan"), float("inf"), 0])
     def test_bad_side_rejected(self, side):
         with pytest.raises(InvalidArgumentError, match="tile side"):

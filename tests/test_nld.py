@@ -143,7 +143,8 @@ def reference_lyapunov(segment, p):
     jn = nn[valid]
     d0 = np.ldexp(np.linalg.norm(y[j] - y[jn], axis=1), exponent)
     d1 = np.ldexp(np.linalg.norm(y[j + delta] - y[jn + delta], axis=1), exponent)
-    return float(np.mean(np.log((d1 + p.eps) / (d0 + p.eps)) / delta)), False
+    with np.errstate(over="ignore"):  # an overflowing ratio gives inf here; the kernel raises
+        return float(np.mean(np.log((d1 + p.eps) / (d0 + p.eps)) / delta)), False
 
 
 def pcm16(x):
@@ -161,9 +162,10 @@ class TestLyapunovKernel:
         delta=st.one_of(st.none(), st.integers(1, 8)),
         theiler=st.one_of(st.none(), st.integers(0, 40)),
         scale=st.sampled_from([1.0, 1e-3, 37.0]),
+        quiet_row=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_dense_reference(self, kind, seed, count, extra, d, tau, delta, theiler, scale):
+    def test_matches_dense_reference(self, kind, seed, count, extra, d, tau, delta, theiler, scale, quiet_row):
         p = EmbeddingParams(d=d, tau=tau, delta=delta, theiler=theiler)
         span = (d - 1) * tau
         length = span + (delta or 1) + 1 + extra
@@ -179,6 +181,10 @@ class TestLyapunovKernel:
             if kind == "pcm16":
                 x = pcm16(0.01 * x)  # few levels: many exact distance ties
         segments = scale * x.reshape(count, length)
+        if quiet_row:
+            # one row about 2**-600 below the others: below the shared-scale
+            # floor, so each row runs on its own scale
+            segments[rng.integers(count)] *= 2.0**-600
         expected = [reference_lyapunov(seg, p) for seg in segments]
         for cells in SPLIT_CELLS:
             with mock.patch.object(nld, "_SPLIT_CELLS", cells):
@@ -247,6 +253,12 @@ class TestLyapunovKernel:
             for w in windows
             if w >= span + p.resolved(w)[0] + 1
         }
+        if not np.all(np.isfinite([v for values in expected.values() for v, _ in values])):
+            # a distance ratio past the float range (at 2**1020, a PCM16 tie
+            # d0 = 0 against a large d1) raises instead of giving an infinite rate
+            with pytest.raises(InvalidArgumentError, match="divergence rates"):
+                lyapunov_windows(x, windows, p)
+            return
         for cells in SPLIT_CELLS:
             with mock.patch.object(nld, "_SPLIT_CELLS", cells):
                 levels = lyapunov_windows(x, windows, p)
@@ -320,6 +332,17 @@ class TestLyapunovKernel:
         for call in calls:
             with pytest.raises(InvalidArgumentError, match="neighbor distances"):
                 call()
+
+    def test_overflowing_rate_raises(self):
+        # an exact tie (d0 = 0) against d1 above about 1.8e300 overflows the
+        # distance ratio though its log is near 700: no +inf exponent flagged valid
+        q = pcm16(0.01 * np.random.default_rng(0).uniform(-1, 1, 4096))
+        loud = np.ldexp(q, 1010)
+        for d in (1, 2):
+            with pytest.raises(InvalidArgumentError, match="divergence rates"):
+                lyapunov_windows(loud, (64, 128, 256), EmbeddingParams(d=d))
+        with pytest.raises(InvalidArgumentError, match="divergence rates"):
+            lyapunov_exponents(loud.reshape(-1, 64), EmbeddingParams(d=1))
 
     def test_mrld_matches_reference_on_pcm16_speech(self, tmp_path):
         path = tmp_path / "speech.wav"

@@ -26,3 +26,19 @@ def test_canary_items_pass_their_checks(monkeypatch, tmp_path):
             assert workload.check(item, result) == [], (name, item.key)
             summary = checks.summarize(result)
             assert checks.disagreements(references[name][item.key], summary) == [], (name, item.key)
+
+
+def test_tracer_records_the_traced_layers(monkeypatch, tmp_path):
+    """perfbench/tracing.py wraps bwetools functions by name: a traced function
+    that is deleted or renamed fails here, not only in a traced benchmark run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads, tracing = importlib.import_module("workloads"), importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    for name in ("corpus_score", "discriminator_features"):
+        workload = workloads.WORKLOADS[name](workloads.CANARY_SEED, "canary", tmp_path / name)
+        item = workload.cycle[0]
+        workload.prepare(item)
+        with tracer.active(item.key):
+            workload.run(item)
+    names = {span[0] for span in tracer.spans}
+    assert {"featmaps.mrld_features", "nld.dfa_fluctuation", "metrics.stoi"} <= names
