@@ -2,15 +2,19 @@
 transforms, nonlinear-dynamics feature extractors, objective speech metrics,
 and network shape verification.
 
-Submodules load on first attribute access (`bwetools.nld`, ...), so
-`import bwetools` costs only numpy. WAV I/O and resampling are numpy; scipy
-is loaded only by the Lyapunov neighbor search (MRLD), for `cdist`.
+Submodules and `Waveform` load on first attribute access (`bwetools.nld`,
+...), so `import bwetools` loads no third-party module, and each CLI
+subcommand loads only the modules it runs: `netinfo` just `netshape`, with
+no numpy; `degrade` just `signal`; `compare` `metrics`, `signal` and
+`spectral`; `features` `nld` and `signal`, plus `featmaps` for the map
+extractors and `spectral` for those that write grids.
+WAV I/O and resampling are numpy; scipy is loaded only by the Lyapunov
+neighbor search (MRLD), for `cdist`.
 """
 
 import importlib
 
 from .errors import InvalidArgumentError, UnreadableFileError, UnsupportedEncodingError
-from .signal import Waveform
 
 __version__ = "0.1.0"
 
@@ -28,4 +32,6 @@ __all__ = [
 def __getattr__(name):
     if name in _SUBMODULES:
         return importlib.import_module(f".{name}", __name__)
+    if name == "Waveform":
+        return __getattr__("signal").Waveform
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

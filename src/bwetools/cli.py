@@ -5,6 +5,9 @@ netinfo write a JSON result to standard output (floats fixed to 6
 significant digits for reproducible byte-identical reruns); degrade writes
 only the output WAV. Diagnostics go to standard error. Exit codes: 0 ok,
 2 I/O failure, 3 invalid arguments.
+
+Each library module is reached through the package at call time
+(`bwetools.signal.load_wav`), so a subcommand loads only the modules it runs.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import featmaps, metrics, netshape, nld, signal, spectral
+import bwetools
 from .errors import InvalidArgumentError, UnreadableFileError, UnsupportedEncodingError
 
 EXIT_OK = 0
@@ -52,11 +55,11 @@ def _load_config(path: str | None, keys: tuple) -> dict:
     if not path:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
     except OSError as exc:
         raise UnreadableFileError(f"cannot read config {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # undecodable UTF-8 or malformed JSON
         raise InvalidArgumentError(f"config {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise InvalidArgumentError("config must be a flat JSON object")
@@ -69,9 +72,9 @@ def _load_config(path: str | None, keys: tuple) -> dict:
 
 
 def cmd_degrade(args, cfg: dict) -> int:
-    wf = signal.load_wav(args.input)
-    out = signal.degrade(wf, args.low_rate)
-    signal.save_wav(args.output, out)
+    wf = bwetools.signal.load_wav(args.input)
+    out = bwetools.signal.degrade(wf, args.low_rate)
+    bwetools.signal.save_wav(args.output, out)
     print(
         f"degraded {args.input} ({wf.rate} Hz) through {args.low_rate} Hz -> {args.output} "
         f"({len(out)} samples)",
@@ -84,13 +87,13 @@ def _export(out_dir: Path, grids: dict, f32: bool = True) -> list[str]:
     """Write each grid to <name>.csv, then <name>.f32 when f32 is set, in
     order; returns the CSV file names."""
     for name, grid in grids.items():
-        spectral.write_csv(out_dir / f"{name}.csv", grid)
+        bwetools.spectral.write_csv(out_dir / f"{name}.csv", grid)
         if f32:
-            spectral.write_f32(out_dir / f"{name}.f32", grid)
+            bwetools.spectral.write_f32(out_dir / f"{name}.f32", grid)
     return [f"{name}.csv" for name in grids]
 
 
-def _write_stack(name: str, stack: featmaps.FeatureMapStack, out_dir: Path) -> dict:
+def _write_stack(name: str, stack: bwetools.featmaps.FeatureMapStack, out_dir: Path) -> dict:
     grids = {f"{name}_ch{c}": stack.data[c] for c in range(stack.channels)}
     return {
         "extractor": name,
@@ -107,12 +110,12 @@ def _write_mrad_mrpd(name: str, mag_phases: list, out_dir: Path) -> dict:
         grids[f"{name}_res{r}_phase"] = mp.phase
     return {
         "extractor": name,
-        "resolutions": featmaps.resolution_params(featmaps.MultiResSpecConfig()),
+        "resolutions": bwetools.featmaps.resolution_params(bwetools.featmaps.MultiResSpecConfig()),
         "files": _export(out_dir, grids),
     }
 
 
-def _write_rp(name: str, plot: nld.RecurrencePlot, out_dir: Path) -> dict:
+def _write_rp(name: str, plot: bwetools.nld.RecurrencePlot, out_dir: Path) -> dict:
     return {
         "extractor": name,
         "shape": list(plot.matrix.shape),
@@ -121,7 +124,7 @@ def _write_rp(name: str, plot: nld.RecurrencePlot, out_dir: Path) -> dict:
     }
 
 
-def _write_poincare(name: str, desc: nld.PoincareDescriptors, out_dir: Path) -> dict:
+def _write_poincare(name: str, desc: bwetools.nld.PoincareDescriptors, out_dir: Path) -> dict:
     return {"extractor": name, "sd1": desc.sd1, "sd2": desc.sd2, "clamped": desc.clamped}
 
 
@@ -129,17 +132,17 @@ def _write_poincare(name: str, desc: nld.PoincareDescriptors, out_dir: Path) -> 
 # -> result document, config keys: the library function's keyword names, which
 # it defaults and checks). Each call looks the library function up anew.
 EXTRACTORS = {
-    "mrld": (lambda wf, **cfg: featmaps.mrld_features(wf, **cfg), _write_stack, ("windows",)),
-    "msdfa": (lambda wf, **cfg: featmaps.msdfa_features(wf, **cfg), _write_stack, ("scales", "side")),
-    "mrad_mrpd": (lambda wf, **cfg: featmaps.mrad_mrpd_features(wf, **cfg), _write_mrad_mrpd, ()),
-    "rp": (lambda wf, **cfg: nld.recurrence_plot(wf.samples, **cfg), _write_rp, ("max_size",)),
-    "poincare": (lambda wf, **cfg: nld.poincare_sd(wf.samples, **cfg), _write_poincare, ()),
+    "mrld": (lambda wf, **cfg: bwetools.featmaps.mrld_features(wf, **cfg), _write_stack, ("windows",)),
+    "msdfa": (lambda wf, **cfg: bwetools.featmaps.msdfa_features(wf, **cfg), _write_stack, ("scales", "side")),
+    "mrad_mrpd": (lambda wf, **cfg: bwetools.featmaps.mrad_mrpd_features(wf, **cfg), _write_mrad_mrpd, ()),
+    "rp": (lambda wf, **cfg: bwetools.nld.recurrence_plot(wf.samples, **cfg), _write_rp, ("max_size",)),
+    "poincare": (lambda wf, **cfg: bwetools.nld.poincare_sd(wf.samples, **cfg), _write_poincare, ()),
 }
 
 
 def cmd_features(args, cfg: dict) -> int:
     features, write, _ = EXTRACTORS[args.extractor]
-    result = features(signal.load_wav(args.input), **cfg)
+    result = features(bwetools.signal.load_wav(args.input), **cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     doc = write(args.extractor, result, out_dir)
@@ -149,18 +152,18 @@ def cmd_features(args, cfg: dict) -> int:
 
 
 def cmd_compare(args, cfg: dict) -> int:
-    ref = signal.load_wav(args.reference)
-    est = signal.load_wav(args.estimate)
-    report = metrics.evaluate(ref, est)
+    ref = bwetools.signal.load_wav(args.reference)
+    est = bwetools.signal.load_wav(args.estimate)
+    report = bwetools.metrics.evaluate(ref, est)
     _emit(report.as_dict())
     return EXIT_OK
 
 
 # network name -> netinfo document
 NETWORKS = {
-    "mrld": lambda: netshape.describe_net(netshape.build_mrld_cnn()),
-    "msdfa": lambda: netshape.describe_net(netshape.build_msdfa_cnn()),
-    "generator": lambda: netshape.describe_generator(netshape.GeneratorGraph()),
+    "mrld": lambda: bwetools.netshape.describe_net(bwetools.netshape.build_mrld_cnn()),
+    "msdfa": lambda: bwetools.netshape.describe_net(bwetools.netshape.build_msdfa_cnn()),
+    "generator": lambda: bwetools.netshape.describe_generator(bwetools.netshape.GeneratorGraph()),
 }
 
 

@@ -1,7 +1,6 @@
 """Exception types shared across the library, and the argument checks that
-raise InvalidArgumentError: integer sizes and finite arrays."""
-
-import numpy as np
+raise InvalidArgumentError: integer sizes and finite arrays. Only the array
+check imports numpy."""
 
 
 class InvalidArgumentError(ValueError):
@@ -18,9 +17,11 @@ class UnsupportedEncodingError(ValueError):
 
 def _size(value, what: str, least: int) -> int:
     """`value` as an int: an integral number >= least that is not a bool (8.0
-    and numpy integers pass), else InvalidArgumentError naming `what`."""
+    and numpy integers pass, numpy bools of any shape fail), else
+    InvalidArgumentError naming `what`."""
     try:
-        if int(value) == value and value >= least and not isinstance(value, (bool, np.bool_)):
+        kind = getattr(getattr(value, "dtype", None), "kind", "")  # "b" for a numpy bool
+        if int(value) == value and value >= least and not isinstance(value, bool) and kind != "b":
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -49,6 +50,8 @@ def _size_fields(obj, least: int, *names: str, optional: bool = False) -> None:
 
 def _finite(x, what: str):
     """x, checked to hold only finite entries, else InvalidArgumentError."""
+    import numpy as np
+
     if not np.all(np.isfinite(x)):
         raise InvalidArgumentError(f"{what} has a non-finite entry")
     return x

@@ -1,17 +1,17 @@
 """Structural models of the discriminator CNNs and the dual-stream
 generator: exact parameter accounting, depthwise-separable cost ratios, and
-deterministic inference-only forward passes with seeded random weights."""
+deterministic inference-only forward passes with seeded random weights.
+
+The accounting half (layer shapes, descriptors, parameter counts, the
+builders and the describe_* reports) is integer arithmetic and loads no
+numpy; the forward passes import numpy, and `spectral`, when they run."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field, replace
 
-import numpy as np
-
 from .errors import InvalidArgumentError, _finite, _size, _size_fields
-from .featmaps import FeatureMapStack
-from .spectral import MagPhase, phase_from_ri
 
 __all__ = [
     "ConvSpec",
@@ -65,6 +65,8 @@ class ConvSpec:
         return (table | {"dwb": (self.c_in,), "pwb": (self.c_out,)}) if self.bias else table
 
     def apply(self, x: np.ndarray, w: dict) -> np.ndarray:
+        import numpy as np
+
         col = (-1,) + (1,) * self.dims
         if self.kind == "standard":
             windows = _windows(x, self.kernel, self.stride)
@@ -106,6 +108,8 @@ class LeakyReluSpec:
         return {}
 
     def apply(self, x: np.ndarray, w: dict) -> np.ndarray:
+        import numpy as np
+
         return np.where(x >= 0, x, LEAKY_SLOPE * x)
 
 
@@ -172,6 +176,8 @@ def build_msdfa_cnn(widths=DEFAULT_MRLD_WIDTHS, in_channels: int = 5) -> NetDesc
 def _draw(tables: list[dict], seed: int, zero: bool) -> list[dict]:
     """One array per table entry, drawn uniform(-0.05, 0.05) from a fixed seed
     (or all zeros) in table order, so results are reproducible."""
+    import numpy as np
+
     rng = np.random.default_rng(_size(seed, "seed", 0))
     sample = np.zeros if zero else lambda shape: rng.uniform(-0.05, 0.05, size=shape)
     return [{name: sample(shape) for name, shape in table.items()} for table in tables]
@@ -185,6 +191,8 @@ def init_weights(net: NetDescriptor, seed: int = 0, zero: bool = False) -> list[
 def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
     """Stride-spaced k-wide windows over the trailing spatial axes of a
     (C, *S) array zero-padded by k//2 on each side: shape (C, *S_out, k, ...)."""
+    import numpy as np
+
     dims = x.ndim - 1
     xp = np.pad(x, ((0, 0),) + ((k // 2, k // 2),) * dims)
     if min(xp.shape[1:]) < k:
@@ -196,6 +204,8 @@ def _windows(x: np.ndarray, k: int, stride: int) -> np.ndarray:
 
 def _depthwise(x: np.ndarray, kernel: np.ndarray, stride: int = 1) -> np.ndarray:
     """Per-channel correlation of a (C, *S) array with a (C, k, ...) kernel."""
+    import numpy as np
+
     s, t = "xy"[: x.ndim - 1], "ij"[: x.ndim - 1]
     return np.einsum(f"c{s}{t},c{t}->c{s}", _windows(x, kernel.shape[-1], stride), kernel)
 
@@ -247,7 +257,8 @@ class LatticeScalars:
     beta2: float = 0.5
 
     def __post_init__(self):
-        _finite((self.alpha1, self.alpha2, self.beta1, self.beta2), "lattice scalars")
+        if not all(map(math.isfinite, (self.alpha1, self.alpha2, self.beta1, self.beta2))):
+            raise InvalidArgumentError("lattice scalars has a non-finite entry")
 
 
 @dataclass(frozen=True)
@@ -277,16 +288,22 @@ class GeneratorGraph:
 
 
 def _layer_norm(x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
     return (x - mu) / np.sqrt(var + 1e-6)
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -317,7 +334,7 @@ def _run_block(x: np.ndarray, g: GeneratorGraph, p: dict) -> np.ndarray:
     q = (xa @ p["wq"]).reshape(t, g.heads, dh).transpose(1, 0, 2)
     k = (xa @ p["wk"]).reshape(t, g.heads, dh).transpose(1, 0, 2)
     v = (xa @ p["wv"]).reshape(t, g.heads, dh).transpose(1, 0, 2)
-    attn = _softmax(q @ k.transpose(0, 2, 1) / np.sqrt(dh)) @ v
+    attn = _softmax(q @ k.transpose(0, 2, 1) / math.sqrt(dh)) @ v
     x = x + attn.transpose(1, 0, 2).reshape(t, h) @ p["wo"]
 
     # ConvNeXt sublayer: depthwise conv along time, norm, expand, project.
@@ -342,6 +359,8 @@ def generator_forward(
     combined by atan2. Lattice gates inject each stream into the other
     before its block (stage 1 with alpha1/beta1, stage 2 with alpha2/beta2).
     """
+    from .spectral import MagPhase, phase_from_ri
+
     if mp_nb.mag.shape != (g.freq_bins, g.frames):
         raise InvalidArgumentError(
             f"expected ({g.freq_bins}, {g.frames}) grids, got {mp_nb.mag.shape}"

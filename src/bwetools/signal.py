@@ -72,6 +72,7 @@ class ResampleConfig:
 
 
 _PCM, _IEEE_FLOAT, _EXTENSIBLE = 1, 3, 0xFFFE
+_MAX_RATE = 768_000  # highest header rate read, in Hz: bounds the resampler's plans
 # Last 12 bytes of the KSDATAFORMAT_SUBTYPE GUID (RFC 2361) in an EXTENSIBLE
 # fmt chunk; the first three GUID groups follow the file's byte order.
 _SUBTYPE_TAIL = {
@@ -107,6 +108,8 @@ def _read_fmt(f, e: str) -> tuple:
         raise ValueError("byte rate is not sample rate x block align")
     if rate == 0:
         raise ValueError("sample rate of 0 Hz")
+    if rate > _MAX_RATE:
+        raise ValueError(f"sample rate of {rate} Hz is above {_MAX_RATE} Hz")
     return tag, channels, rate, align, bits
 
 
@@ -193,7 +196,8 @@ def load_wav(path) -> Waveform:
     Multichannel inputs are averaged to mono; PCM16 is scaled by 1/32768. A
     data chunk cut short gives its whole frames and a warning. Raises
     UnreadableFileError if the file cannot be opened or read, and
-    UnsupportedEncodingError for any other encoding or a malformed header.
+    UnsupportedEncodingError for any other encoding, a malformed header or a
+    header rate of 0 or above 768 kHz.
     """
     try:
         with open(path, "rb") as fh:

@@ -321,3 +321,12 @@ class TestConfig:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json")
         assert main(["--config", str(cfg), "netinfo", "mrld"]) == EXIT_USAGE
+
+    @pytest.mark.parametrize(
+        "raw", [b'{"side": 8}\xff', '{"side": 8}'.encode("utf-16")], ids=["stray-0xff", "utf-16"]
+    )
+    def test_undecodable_config(self, tmp_path, capsys, raw):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(raw)
+        assert main(["--config", str(cfg), "netinfo", "mrld"]) == EXIT_USAGE
+        assert "is not valid JSON" in capsys.readouterr().err

@@ -144,6 +144,13 @@ def test_size_rejects(value):
         _size(value, "width", 8)
 
 
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), np.array(True), np.array(False)])
+def test_size_rejects_bools_at_any_bound(value):
+    # a bound of 8 rejects a bool as too small; at 0 only the bool test can
+    with pytest.raises(InvalidArgumentError, match="flag must be an integer >= 0"):
+        _size(value, "flag", 0)
+
+
 def test_finite_names_what():
     x = np.array([1.0, np.inf])
     with pytest.raises(InvalidArgumentError, match="samples has a non-finite entry"):

@@ -1,10 +1,16 @@
-"""Import budget: `import bwetools`, the CLI, `netinfo`, the STFT, `degrade`,
-`compare` and every extractor but MRLD load no scipy module at all; MRLD
-loads `scipy.spatial.distance` for `cdist`. Importing the package and the CLI
-leaves `concurrent.futures`, which only MRLD's split search needs, unloaded.
-Every name the benchmark's tracer wraps exists. Each check runs in a fresh
-interpreter."""
+"""Import budget: each CLI subcommand loads only the bwetools modules it runs.
+`netinfo`, `--help` and a usage error load `cli` and `errors` (plus
+`netshape` for `netinfo`) and no numpy; `degrade` loads only `signal`;
+`compare` loads `metrics`, `signal` and `spectral`; `features` loads `nld`
+and `signal`, plus `featmaps` for the map extractors and `spectral` for
+those that write grids, never `metrics` or `netshape`. Only `features mrld`
+loads scipy (`scipy.spatial.distance`, for `cdist`); the STFT and every
+other extractor, on float32 and PCM16 input, load none. Importing the
+package and the CLI leaves `concurrent.futures`, which only MRLD's split
+search needs, unloaded. Every name the benchmark's tracer wraps exists. Each
+check runs in a fresh interpreter."""
 
+import json
 import os
 import subprocess
 import sys
@@ -34,10 +40,6 @@ def scipy_loaded_after(code):
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1].split()[1:]
-
-
-def test_package_and_cli_import_load_no_heavy_scipy():
-    assert scipy_loaded_after("import bwetools, bwetools.cli") == []
 
 
 def test_package_and_cli_import_leave_concurrent_futures_unloaded():
@@ -73,16 +75,51 @@ def test_features_without_mrld_load_no_scipy(tmp_path, wav_pair, extractor, enco
     assert scipy_loaded_after(f"from bwetools import cli\nassert cli.main({argv!r}) == 0") == []
 
 
-def test_degrade_and_compare_load_no_scipy(tmp_path):
-    clip = tmp_path / "clip.wav"
-    signal.save_wav(clip, demo.synthetic_speech(duration=1.0, rate=16000, seed=3))
-    runs = {
-        "degrade": ["degrade", str(clip), "8000", str(tmp_path / "out.wav")],
-        "compare": ["compare", str(clip), str(tmp_path / "out.wav")],
-    }
-    for command, argv in runs.items():
-        loaded = scipy_loaded_after(f"from bwetools import cli\nassert cli.main({argv!r}) == 0")
-        assert loaded == [], command
+MAPS = {"featmaps", "nld", "signal", "spectral"}
+# id -> (argv, exit code, the bwetools modules loaded besides the package, cli
+# and errors, numpy loaded, scipy loaded)
+BUDGETS = {
+    "netinfo-mrld": (["netinfo", "mrld"], 0, {"netshape"}, False, False),
+    "netinfo-msdfa": (["netinfo", "msdfa"], 0, {"netshape"}, False, False),
+    "netinfo-generator": (["netinfo", "generator"], 0, {"netshape"}, False, False),
+    "help": (["--help"], 0, set(), False, False),
+    "usage-error": (["netinfo", "nosuch"], 3, set(), False, False),
+    "degrade": (["degrade", "{clip}", "8000", "{out}/o.wav"], 0, {"signal"}, True, False),
+    "compare": (["compare", "{clip}", "{low}"], 0, {"metrics", "signal", "spectral"}, True, False),
+    "features-mrld": (["features", "{clip}", "mrld", "{out}"], 0, MAPS, True, True),
+    "features-msdfa": (["features", "{clip}", "msdfa", "{out}"], 0, MAPS, True, False),
+    "features-mrad_mrpd": (["features", "{clip}", "mrad_mrpd", "{out}"], 0, MAPS, True, False),
+    "features-rp": (["features", "{clip}", "rp", "{out}"], 0, {"nld", "signal", "spectral"}, True, False),
+    "features-poincare": (["features", "{clip}", "poincare", "{out}"], 0, {"nld", "signal"}, True, False),
+}
+
+
+@pytest.fixture(scope="module")
+def clip_and_low(tmp_path_factory):
+    """A 1 s 16 kHz float32 clip and its 8 kHz degradation."""
+    wf = demo.synthetic_speech(duration=1.0, rate=16000, seed=3)
+    clip, low = (tmp_path_factory.mktemp("wav") / name for name in ("clip.wav", "low.wav"))
+    signal.save_wav(clip, wf)
+    signal.save_wav(low, signal.degrade(wf, 8000))
+    return clip, low
+
+
+@pytest.mark.parametrize("case", BUDGETS)
+def test_cli_loads_only_what_the_command_runs(tmp_path, clip_and_low, case):
+    template, code, modules, numpy, scipy = BUDGETS[case]
+    clip, low = clip_and_low
+    argv = [a.format(clip=clip, low=low, out=tmp_path) for a in template]
+    probe = (
+        "import json, sys\n"
+        "from bwetools import cli\n"
+        f"code = cli.main({argv!r})\n"
+        "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'bwetools')\n"
+        "print(json.dumps([code, mods, 'numpy' in sys.modules, 'scipy' in sys.modules]))"
+    )
+    proc = run_python("-c", probe)
+    assert proc.returncode == 0, proc.stderr
+    expected = sorted({"bwetools", "bwetools.cli", "bwetools.errors"} | {f"bwetools.{m}" for m in modules})
+    assert json.loads(proc.stdout.splitlines()[-1]) == [code, expected, numpy, scipy]
 
 
 def test_module_run_writes_nothing_to_stderr(tmp_path):

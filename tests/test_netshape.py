@@ -362,6 +362,15 @@ class TestGenerator:
         with pytest.raises(InvalidArgumentError):
             generator_forward(g, bad)
 
+    @pytest.mark.parametrize("name", ["alpha1", "alpha2", "beta1", "beta2"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "build", [LatticeScalars, lambda **kw: GeneratorGraph(scalars=LatticeScalars(**kw))]
+    )
+    def test_non_finite_scalar_rejected(self, name, value, build):
+        with pytest.raises(InvalidArgumentError, match="lattice scalars has a non-finite entry"):
+            build(**{name: value})
+
     @pytest.mark.parametrize("grid, value", [("mag", -np.inf), ("phase", np.nan)])
     def test_non_finite_input_rejected(self, grid, value):
         g = self.graph()

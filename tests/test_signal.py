@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.io import wavfile
 from scipy.signal import upfirdn
 
+from bwetools import cli
 from bwetools.errors import (
     InvalidArgumentError,
     UnreadableFileError,
@@ -277,6 +278,33 @@ class TestLoadWav:
         path.write_bytes(blob)
         ref_path.write_bytes(blob[:aligned])
         assert outcome(load_wav, path) == outcome(reference_load_wav, ref_path)
+
+
+def float32_wav_at(path, rate):
+    """A 16-sample float32 WAV whose header claims `rate` Hz; float32 headers
+    skip the byte-rate check, so only the rate bound decides."""
+    save_wav(path, Waveform(np.zeros(16), 8000))
+    blob = bytearray(path.read_bytes())
+    blob[24:28] = struct.pack("<I", rate)
+    path.write_bytes(blob)
+    return path
+
+
+class TestHeaderRate:
+    def test_highest_rate_loads(self, tmp_path):
+        assert load_wav(float32_wav_at(tmp_path / "x.wav", 768_000)).rate == 768_000
+
+    @pytest.mark.parametrize("rate", [768_001, 2**32 - 1])
+    def test_higher_rate_rejected(self, tmp_path, rate):
+        with pytest.raises(UnsupportedEncodingError, match=f"sample rate of {rate} Hz is above"):
+            load_wav(float32_wav_at(tmp_path / "x.wav", rate))
+
+    def test_degrade_exits_before_any_resample_plan(self, tmp_path, capsys):
+        path = float32_wav_at(tmp_path / "x.wav", 2**32 - 1)
+        before = _resample_plan.cache_info()
+        assert cli.main(["degrade", str(path), "8000", str(tmp_path / "out.wav")]) == cli.EXIT_IO
+        assert _resample_plan.cache_info() == before
+        assert "above 768000 Hz" in capsys.readouterr().err
 
 
 class TestSaveWav:
