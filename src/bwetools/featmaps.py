@@ -114,17 +114,17 @@ def msdfa_features(
 ) -> FeatureMapStack:
     """DFA fluctuations tiled into constant side x side maps, one per scale, in
     ascending scale order. Scales must be distinct integers >= 2, and the
-    tile side an integer >= 1. A scale longer than half the clip gives a zero
-    map flagged degenerate."""
+    tile side an integer >= 1. A scale longer than half the clip, or one whose
+    fluctuation is exactly 0 (a silent or constant clip), gives a zero map
+    flagged degenerate, as a zero-variance MRLD channel is."""
     scales = [_size(n, "DFA scale", 2) for n in _sizes(scales, "DFA scales")]
     side = _size(side, "tile side", 1)
     data = np.zeros((len(scales), side, side))
     channel_meta = []
     for c, n in enumerate(scales):
-        degenerate = len(wf) < 2 * n
-        if not degenerate:
-            data[c] = dfa_fluctuation(wf.samples, n)
-        channel_meta.append({"scale": n, "degenerate": bool(degenerate)})
+        fluctuation = dfa_fluctuation(wf.samples, n) if len(wf) >= 2 * n else 0.0
+        data[c] = fluctuation
+        channel_meta.append({"scale": n, "degenerate": fluctuation == 0.0})
     meta = {"extractor": "msdfa", "scales": scales, "side": side, "channels": channel_meta}
     return FeatureMapStack(data, meta)
 

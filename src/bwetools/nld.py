@@ -134,9 +134,11 @@ _SPLIT_CELLS = 32768
 def _over_segments(count: int, cells: int, search) -> None:
     """Run search(lo, hi) over contiguous ranges covering segments [0, count),
     one per CPU this process may use when a segment's search has at least
-    _SPLIT_CELLS distance cells, else one. The first runs on the calling
-    thread, each other on its own; a call writes only its own segments, with
-    its own scratch, and any call's exception reaches the caller."""
+    _SPLIT_CELLS distance cells (for `demo.synthetic_speech`, whose segments
+    are samples: when the clip has that many), else one. The first runs on
+    the calling thread, each other on its own; a call writes only its own
+    segments, with its own scratch, and any call's exception reaches the
+    caller."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     parts = min(count, cpus or 1) if cells >= _SPLIT_CELLS else 1
     if parts < 2:

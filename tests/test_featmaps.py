@@ -116,8 +116,20 @@ class TestMsdfa:
             assert stack.data[c].max() - stack.data[c].min() == 0.0
 
     def test_constant_input_zero(self):
+        # every fluctuation is exactly 0, flagged as a zero-variance MRLD channel is
         stack = msdfa_features(Waveform(np.full(4096, -0.5), 16000))
         assert np.all(stack.data == 0)
+        assert all(c["degenerate"] for c in stack.meta["channels"])
+
+    def test_silent_input_degenerate(self):
+        stack = msdfa_features(Waveform(np.zeros(4096), 16000))
+        assert np.all(stack.data == 0)
+        assert all(c["degenerate"] for c in stack.meta["channels"])
+
+    def test_speech_not_degenerate(self):
+        stack = msdfa_features(synthetic_speech(duration=0.5, rate=16000, seed=2))
+        assert not any(c["degenerate"] for c in stack.meta["channels"])
+        assert np.all(stack.data > 0)
 
     def test_extreme_amplitude_finite(self):
         wf = synthetic_speech(duration=0.5, seed=0)

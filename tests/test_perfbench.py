@@ -42,3 +42,23 @@ def test_tracer_records_the_traced_layers(monkeypatch, tmp_path):
             workload.run(item)
     names = {span[0] for span in tracer.spans}
     assert {"featmaps.mrld_features", "nld.dfa_fluctuation", "metrics.stoi"} <= names
+
+
+# input_digest() of each workload built at scale "small" from CANARY_SEED, as
+# taken from the serial harmonic loop of demo.synthetic_speech. cli_batch is
+# left out: its digest covers a degraded WAV whose last bits follow the BLAS
+# thread count.
+SMALL_INPUT_DIGESTS = {
+    "corpus_score": "3fe8fb675cd1059c72dad9f6df750f9b352295fdf36f549eef51d9304333812d",
+    "discriminator_features": "71aa77777749196f68d80f63d38fccbade9725ee659324db6ebc21d76968af65",
+}
+
+
+def test_small_inputs_are_pinned(monkeypatch, tmp_path):
+    """The benchmark's inputs feed its reference figures, so set-up must
+    rebuild them bit for bit."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    for name, expected in SMALL_INPUT_DIGESTS.items():
+        workload = workloads.WORKLOADS[name](workloads.CANARY_SEED, "small", tmp_path / name)
+        assert workload.input_digest() == expected, name
