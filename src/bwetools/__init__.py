@@ -9,7 +9,8 @@ no numpy; `degrade` just `signal`; `compare` `metrics`, `signal` and
 `spectral`; `features` `nld` and `signal`, plus `featmaps` for the map
 extractors and `spectral` for those that write grids.
 WAV I/O and resampling are numpy; scipy is loaded only by the Lyapunov
-neighbor search (MRLD), for `cdist`.
+neighbor search (MRLD), which loads `scipy.spatial`'s distance extension
+alone for its Euclidean kernel.
 """
 
 import importlib

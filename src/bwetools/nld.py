@@ -4,8 +4,10 @@ recurrence plots, and first-order Poincare descriptors."""
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,7 +148,7 @@ def _over_segments(count: int, cells: int, search) -> None:
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    # cdist and argmin release the GIL, so the ranges run in parallel
+    # the distance kernel and argmin release the GIL, so the ranges run in parallel
     bounds = [count * k // parts for k in range(parts + 1)]
     with ThreadPoolExecutor(parts - 1) as pool:
         futures = [pool.submit(search, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
@@ -155,14 +157,42 @@ def _over_segments(count: int, cells: int, search) -> None:
             future.result()
 
 
+_DISTANCE_EXTENSION = "scipy.spatial._distance_pybind"
+
+
+@functools.cache
+def _cdist():
+    """The kernel `scipy.spatial.distance.cdist` calls, `cdist_euclidean(x, y,
+    out=None)`, loaded from its extension file alone, without the kd-tree,
+    qhull and array-API modules that importing `scipy.spatial` loads. The
+    module is registered under its own name, so a later `scipy.spatial`
+    import reuses it. `cdist` where the file or the function is missing."""
+    import importlib.machinery
+    import importlib.util
+
+    import scipy
+
+    module = sys.modules.get(_DISTANCE_EXTENSION)
+    if module is None:
+        folder = os.path.join(os.path.dirname(scipy.__file__), "spatial")
+        spec = importlib.machinery.PathFinder.find_spec(_DISTANCE_EXTENSION, [folder])
+        if spec is not None:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[_DISTANCE_EXTENSION] = module
+    kernel = getattr(module, "cdist_euclidean", None)
+    if kernel is None:
+        from scipy.spatial.distance import cdist as kernel
+    return kernel
+
+
 def _nearest(pts, rows: slice, cols: slice, theiler: int, columns: bool = False):
     """Exact nearest neighbors within the block rows x cols of every segment
     of pts, (count, points, d), outside the Theiler window |j - j'| <= theiler:
     (distance, index) of each row among the columns and, with `columns`, of
     each column among the rows (else None, None), as point indices, the
     lowest on ties. A row or column with no pair outside the window gets inf."""
-    from scipy.spatial.distance import cdist
-
+    cdist = _cdist()
     count = pts.shape[0]
     m, k = rows.stop - rows.start, cols.stop - cols.start
     offset = rows.start - cols.start
@@ -206,8 +236,7 @@ def _nearest_from_halves(pts, n, theiler, h, half_dist, half_nn):
     w, and every distance, half_dist included, must be on that one scale;
     the Theiler window does not depend on w.
     """
-    from scipy.spatial.distance import cdist
-
+    cdist = _cdist()
     count = pts.shape[0]
     nh = half_dist.shape[1]
     g = min(h, n)
@@ -377,10 +406,11 @@ def dfa_fluctuation(x, n: int) -> float:
     profile = np.cumsum(x - x.mean())
     n_boxes = profile.size // n
     boxes = profile[: n_boxes * n].reshape(n_boxes, n)
-    t = np.arange(n, dtype=np.float64)
-    design = np.vstack([t, np.ones(n)]).T
-    coef, *_ = np.linalg.lstsq(design, boxes.T, rcond=None)
-    resid = boxes.T - design @ coef
+    # least-squares line per box in closed form, on the centred time axis
+    t = np.arange(n) - (n - 1) / 2
+    y = boxes - boxes.mean(axis=1, keepdims=True)
+    slope = (y * t).sum(axis=1) / (t @ t)
+    resid = y - slope[:, None] * t
     return _unscale(float(np.sqrt(np.mean(resid**2))), exponent, "the DFA fluctuation")
 
 

@@ -2,11 +2,27 @@ import numpy as np
 import pytest
 
 from bwetools.demo import synthetic_speech
+from bwetools.signal import Waveform
 
 
 @pytest.fixture(scope="session")
 def speech_clip():
     return synthetic_speech(duration=3.0, rate=48000, seed=0)
+
+
+@pytest.fixture(scope="session")
+def speech():
+    """speech(duration, rate=48000, seed=0): `synthetic_speech` generated once
+    per session for each argument triple, as a fresh copy on every call."""
+    clips = {}
+
+    def make(duration, rate=48000, seed=0):
+        key = (duration, rate, seed)
+        if key not in clips:
+            clips[key] = synthetic_speech(duration=duration, rate=rate, seed=seed)
+        return Waveform(clips[key].samples.copy(), rate)
+
+    return make
 
 
 def logistic_orbit(n, x0=0.37):

@@ -78,8 +78,8 @@ class TestMrld:
         b = mrld_features(wf)
         np.testing.assert_array_equal(a.data, b.data)
 
-    def test_extreme_amplitude(self):
-        wf = synthetic_speech(duration=0.5, seed=0)
+    def test_extreme_amplitude(self, speech):
+        wf = speech(0.5)
         base = mrld_features(wf)
         big = mrld_features(Waveform(wf.samples * 1e200, wf.rate))
         assert not any(c["degenerate"] for c in big.meta["channels"])
@@ -87,10 +87,10 @@ class TestMrld:
         # only eps (1e-8, negligible next to 1e200 distances) tells them apart
         np.testing.assert_allclose(big.data, base.data, atol=1e-3)
 
-    def test_tiny_amplitude_is_degenerate(self):
+    def test_tiny_amplitude_is_degenerate(self, speech):
         # EmbeddingParams.eps = 1e-8 is an absolute floor: next to distances
         # near 1e-200 every rate is log(eps/eps) = 0, so no channel varies
-        wf = synthetic_speech(duration=0.5, seed=0)
+        wf = speech(0.5)
         tiny = mrld_features(Waveform(wf.samples * 1e-200, wf.rate))
         assert all(c["degenerate"] for c in tiny.meta["channels"])
         assert np.all(tiny.data == 0)
@@ -131,8 +131,8 @@ class TestMsdfa:
         assert not any(c["degenerate"] for c in stack.meta["channels"])
         assert np.all(stack.data > 0)
 
-    def test_extreme_amplitude_finite(self):
-        wf = synthetic_speech(duration=0.5, seed=0)
+    def test_extreme_amplitude_finite(self, speech):
+        wf = speech(0.5)
         big = msdfa_features(Waveform(wf.samples * 1e200, wf.rate))
         assert np.all(np.isfinite(big.data)) and np.all(big.data > 0)
 
@@ -211,9 +211,9 @@ class TestMradMrpd:
             assert np.array_equal(mp.phase, full.phase[:bins])
             assert (mp.config, mp.n_samples) == (stft_cfg, n)
 
-    def test_overflow_raises(self):
+    def test_overflow_raises(self, speech):
         # peak 1, so the samples are finite and the spectra overflow
-        loud = Waveform(1e307 * synthetic_speech(0.5, seed=3).samples, 48000)
+        loud = Waveform(1e307 * speech(0.5, seed=3).samples, 48000)
         with pytest.raises(InvalidArgumentError, match="finite"), np.errstate(all="ignore"):
             mrad_mrpd_features(loud)
 

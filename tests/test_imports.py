@@ -4,11 +4,13 @@
 `compare` loads `metrics`, `signal` and `spectral`; `features` loads `nld`
 and `signal`, plus `featmaps` for the map extractors and `spectral` for
 those that write grids, never `metrics` or `netshape`. Only `features mrld`
-loads scipy (`scipy.spatial.distance`, for `cdist`); the STFT and every
-other extractor, on float32 and PCM16 input, load none. Importing the
-package and the CLI leaves `concurrent.futures`, which only MRLD's split
-search needs, unloaded. Every name the benchmark's tracer wraps exists. Each
-check runs in a fresh interpreter."""
+loads scipy, and of `scipy.spatial` only its distance extension, whose
+Euclidean kernel MRLD calls: no command loads the `scipy.spatial` package
+or its `distance` module. A later `cdist` import reuses that extension. The
+STFT and every other extractor, on float32 and PCM16 input, load no scipy.
+Importing the package and the CLI leaves `concurrent.futures`, which only
+MRLD's split search needs, unloaded. Every name the benchmark's tracer
+wraps exists. Each check runs in a fresh interpreter."""
 
 import json
 import os
@@ -19,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import bwetools
-from bwetools import demo, signal
+from bwetools import signal
 
 SRC = str(Path(bwetools.__file__).resolve().parents[1])
 SUBMODULES = ("cli", "demo", "featmaps", "metrics", "netshape", "nld", "signal", "spectral")
@@ -59,9 +61,9 @@ def test_netinfo_and_stft_leave_scipy_signal_unloaded():
 
 
 @pytest.fixture(scope="module")
-def wav_pair(tmp_path_factory):
+def wav_pair(tmp_path_factory, speech):
     """A float32 and a PCM16 WAV of one 0.5 s 16 kHz clip."""
-    wf = demo.synthetic_speech(duration=0.5, rate=16000, seed=3)
+    wf = speech(0.5, 16000, 3)
     paths = {enc: tmp_path_factory.mktemp("wav") / f"clip.{enc}.wav" for enc in ("float32", "pcm16")}
     for enc, path in paths.items():
         signal.save_wav(path, wf, enc)
@@ -77,7 +79,8 @@ def test_features_without_mrld_load_no_scipy(tmp_path, wav_pair, extractor, enco
 
 MAPS = {"featmaps", "nld", "signal", "spectral"}
 # id -> (argv, exit code, the bwetools modules loaded besides the package, cli
-# and errors, numpy loaded, scipy loaded)
+# and errors, numpy loaded, scipy loaded); no case loads scipy.spatial or
+# scipy.spatial.distance
 BUDGETS = {
     "netinfo-mrld": (["netinfo", "mrld"], 0, {"netshape"}, False, False),
     "netinfo-msdfa": (["netinfo", "msdfa"], 0, {"netshape"}, False, False),
@@ -95,9 +98,9 @@ BUDGETS = {
 
 
 @pytest.fixture(scope="module")
-def clip_and_low(tmp_path_factory):
+def clip_and_low(tmp_path_factory, speech):
     """A 1 s 16 kHz float32 clip and its 8 kHz degradation."""
-    wf = demo.synthetic_speech(duration=1.0, rate=16000, seed=3)
+    wf = speech(1.0, 16000, 3)
     clip, low = (tmp_path_factory.mktemp("wav") / name for name in ("clip.wav", "low.wav"))
     signal.save_wav(clip, wf)
     signal.save_wav(low, signal.degrade(wf, 8000))
@@ -114,12 +117,42 @@ def test_cli_loads_only_what_the_command_runs(tmp_path, clip_and_low, case):
         "from bwetools import cli\n"
         f"code = cli.main({argv!r})\n"
         "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'bwetools')\n"
-        "print(json.dumps([code, mods, 'numpy' in sys.modules, 'scipy' in sys.modules]))"
+        "spatial = [m for m in ('scipy.spatial', 'scipy.spatial.distance') if m in sys.modules]\n"
+        "print(json.dumps([code, mods, 'numpy' in sys.modules, 'scipy' in sys.modules, spatial]))"
     )
     proc = run_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     expected = sorted({"bwetools", "bwetools.cli", "bwetools.errors"} | {f"bwetools.{m}" for m in modules})
-    assert json.loads(proc.stdout.splitlines()[-1]) == [code, expected, numpy, scipy]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [code, expected, numpy, scipy, []]
+
+
+def test_cdist_after_mrld_reuses_the_loaded_kernel():
+    # MRLD loads scipy's distance extension alone; a later cdist import must
+    # take that same module and agree with the kernel on strided views
+    proc = run_python(
+        "-c",
+        "import sys\n"
+        "import numpy as np\n"
+        "from bwetools import demo, nld\n"
+        "x = demo.synthetic_speech(duration=0.25, rate=16000, seed=1).samples\n"
+        "nld.lyapunov_windows(x, (64, 128, 256))\n"
+        "assert 'scipy.spatial' not in sys.modules\n"
+        "extension = sys.modules['scipy.spatial._distance_pybind']\n"
+        "kernel = nld._cdist()\n"
+        "from scipy.spatial import distance\n"
+        "from scipy.spatial.distance import cdist\n"
+        "assert distance._distance_pybind is extension\n"
+        "assert kernel is extension.cdist_euclidean\n"
+        "for d, tau in ((3, 1), (13, 2)):\n"
+        "    pts = nld.delay_embed(x, d, tau)\n"
+        "    a, b = pts[::3], pts[1:500:2]\n"
+        "    assert not a.flags.c_contiguous and not b.flags.c_contiguous\n"
+        "    assert np.array_equal(kernel(a, b), cdist(a, b))\n"
+        "    out = np.empty((a.shape[0], b.shape[0]))\n"
+        "    kernel(a, b, out=out)\n"
+        "    assert np.array_equal(out, cdist(a, b))",
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_run_writes_nothing_to_stderr(tmp_path):

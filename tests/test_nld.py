@@ -1,3 +1,4 @@
+import math
 import os
 import sys
 from unittest import mock
@@ -23,7 +24,7 @@ from bwetools.nld import (
     poincare_sd,
     recurrence_plot,
 )
-from bwetools.signal import Waveform, frame, load_wav, save_wav
+from bwetools.signal import Waveform, frame, load_wav, save_wav, unit_peak
 from conftest import logistic_orbit
 
 SCALES = (100, 200, 300, 500, 600)
@@ -319,10 +320,10 @@ class TestLyapunovKernel:
         with pytest.raises(InvalidArgumentError):
             lyapunov_exponents(np.ones(64))
 
-    def test_overflowing_distance_raises(self):
+    def test_overflowing_distance_raises(self, speech):
         # at a peak of about 1.7e308 some neighbor distances exceed the largest
         # float: no +inf exponent flagged valid, no channel silently degenerate
-        wf = synthetic_speech(duration=0.5, seed=0)
+        wf = speech(0.5)
         loud = Waveform(wf.samples / np.abs(wf.samples).max() * 1.7e308, wf.rate)
         calls = [
             lambda: lyapunov_exponents(frame(loud, 64, 64)),
@@ -344,9 +345,9 @@ class TestLyapunovKernel:
         with pytest.raises(InvalidArgumentError, match="divergence rates"):
             lyapunov_exponents(loud.reshape(-1, 64), EmbeddingParams(d=1))
 
-    def test_mrld_matches_reference_on_pcm16_speech(self, tmp_path):
+    def test_mrld_matches_reference_on_pcm16_speech(self, tmp_path, speech):
         path = tmp_path / "speech.wav"
-        save_wav(path, synthetic_speech(duration=0.5, seed=3), encoding="pcm16")
+        save_wav(path, speech(0.5, seed=3), encoding="pcm16")
         wf = load_wav(path)
         p = EmbeddingParams()
         stack = mrld_features(wf)
@@ -355,6 +356,41 @@ class TestLyapunovKernel:
             assert np.array_equal(lyapunov_exponents(frame(wf, w, w), p)[0], expected)
             z = (expected - expected.mean()) / expected.std()
             assert np.array_equal(stack.data[c, 0, : expected.size], z)
+
+    @pytest.mark.parametrize("missing", ["file", "function"])
+    @pytest.mark.parametrize("encoding", ["float", "pcm16"])
+    def test_cdist_fallback_matches_the_kernel(self, monkeypatch, speech, missing, encoding):
+        """Where scipy's distance extension or its Euclidean kernel is missing,
+        the search runs on `cdist`, with the same results."""
+        x = speech(0.5, seed=3).samples
+        if encoding == "pcm16":
+            x = pcm16(x)
+        assert nld._cdist() is sys.modules[nld._DISTANCE_EXTENSION].cdist_euclidean
+        kernel = lyapunov_windows(x, DEFAULT_LYAPUNOV_WINDOWS)
+        # _hausdorff: an extension in the same folder with no cdist_euclidean
+        name = {"file": "scipy.spatial._no_such_extension", "function": "scipy.spatial._hausdorff"}
+        monkeypatch.setattr(nld, "_DISTANCE_EXTENSION", name[missing])
+        nld._cdist.cache_clear()
+        try:
+            assert nld._cdist() is cdist
+            fallback = lyapunov_windows(x, DEFAULT_LYAPUNOV_WINDOWS)
+        finally:
+            nld._cdist.cache_clear()  # the next call loads the kernel again
+        assert list(fallback) == list(kernel)
+        for w, (values, degenerate) in kernel.items():
+            assert np.array_equal(fallback[w][0], values) and np.array_equal(fallback[w][1], degenerate)
+
+
+def reference_dfa(x, n):
+    """DFA-1 fluctuation with each box's line fitted by `np.linalg.lstsq`."""
+    if np.ptp(x) == 0.0:
+        return 0.0
+    x, exponent = unit_peak(np.asarray(x, dtype=np.float64))
+    profile = np.cumsum(x - x.mean())
+    boxes = profile[: profile.size // n * n].reshape(-1, n)
+    design = np.vstack([np.arange(n, dtype=np.float64), np.ones(n)]).T
+    coef, *_ = np.linalg.lstsq(design, boxes.T, rcond=None)
+    return math.ldexp(float(np.sqrt(np.mean((boxes.T - design @ coef) ** 2))), exponent)
 
 
 class TestDfa:
@@ -429,8 +465,27 @@ class TestDfa:
         assert (ds.sd1, ds.sd2) == (np.ldexp(d.sd1, k), np.ldexp(d.sd2, k))
         assert ds.clamped == d.clamped
 
-    def test_overflowing_fluctuation_raises(self):
-        wf = synthetic_speech(duration=0.5, seed=0)
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(2, 300),
+        extra=st.integers(0, 299),
+        rounded=st.booleans(),
+        k=st.integers(-600, 600),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_least_squares_reference(self, seed, n, extra, rounded, k):
+        """The closed-form line per box gives lstsq's fluctuation to about
+        1e-15 relative; at n = 2 both fit each box exactly and leave only
+        rounding dust, which the absolute bound covers."""
+        x = np.random.default_rng(seed).standard_normal(2 * n + extra)
+        if rounded:
+            x = pcm16(0.1 * x)
+        x = np.ldexp(x, k)
+        expected = reference_dfa(x, n)
+        assert dfa_fluctuation(x, n) == pytest.approx(expected, rel=1e-12, abs=1e-12 * np.abs(x).max())
+
+    def test_overflowing_fluctuation_raises(self, speech):
+        wf = speech(0.5)
         loud = Waveform(np.ldexp(wf.samples, 1023), wf.rate)
         calls = [
             lambda: dfa_fluctuation(loud.samples, 200),
