@@ -12,7 +12,7 @@ class UnreadableFileError(OSError):
 
 
 class UnsupportedEncodingError(ValueError):
-    """The input file exists but is not a supported WAV encoding."""
+    """The input file exists but is not a supported WAV or `write_f32` encoding."""
 
 
 def _size(value, what: str, least: int) -> int:

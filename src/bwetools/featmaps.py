@@ -115,8 +115,8 @@ def msdfa_features(
     """DFA fluctuations tiled into constant side x side maps, one per scale, in
     ascending scale order. Scales must be distinct integers >= 2, and the
     tile side an integer >= 1. A scale longer than half the clip, or one whose
-    fluctuation is exactly 0 (a silent or constant clip), gives a zero map
-    flagged degenerate, as a zero-variance MRLD channel is."""
+    fluctuation is exactly 0 (a silent or constant clip, or scale 2), gives a
+    zero map flagged degenerate, as a zero-variance MRLD channel is."""
     scales = [_size(n, "DFA scale", 2) for n in _sizes(scales, "DFA scales")]
     side = _size(side, "tile side", 1)
     data = np.zeros((len(scales), side, side))

@@ -125,11 +125,11 @@ def _band(rows: int, cols: int, lo: int, hi: int) -> np.ndarray:
     return np.concatenate(diagonals) if diagonals else np.empty(0, dtype=np.intp)
 
 
-# Distance cells per segment below which a search runs on one thread. On 2
-# CPUs the split took the default w = 512 and 1024 merges (256 x 224 and
-# 512 x 448 cells) from about 94 to 64 and 210 to 118 ms; at w <= 256 (128 x
-# 112 cells or fewer) it was no faster, as the per-segment Python work, which
-# holds the GIL, is a larger share.
+# Distance cells per segment below which a search runs on one thread. At the
+# default parameters the dyadic merge blocks are 56 x 110, 112 x 222, 224 x
+# 446 and 448 x 894 cells at w = 128, 256, 512 and 1024, so only the merges
+# at w >= 512 split. On 2 CPUs the split took those two from about 100-160 to
+# 50-80 ms and from 220-330 to 110-160 ms.
 _SPLIT_CELLS = 32768
 
 
@@ -186,81 +186,55 @@ def _cdist():
     return kernel
 
 
-def _nearest(pts, rows: slice, cols: slice, theiler: int, columns: bool = False):
-    """Exact nearest neighbors within the block rows x cols of every segment
-    of pts, (count, points, d), outside the Theiler window |j - j'| <= theiler:
-    (distance, index) of each row among the columns and, with `columns`, of
-    each column among the rows (else None, None), as point indices, the
-    lowest on ties. A row or column with no pair outside the window gets inf."""
+def _nearest(pts, first: int, n: int, theiler: int, columns: int = 0):
+    """Exact nearest neighbors in the block of rows [first, n) by columns
+    [0, n) of every segment of pts, (count, points, d), outside the Theiler
+    window |j - j'| <= theiler: (distance, index) of each row among the
+    columns and of each of the first `columns` columns among the rows, as
+    point indices, the lowest on ties. A row or column with no pair outside
+    the window gets inf."""
     cdist = _cdist()
-    count = pts.shape[0]
-    m, k = rows.stop - rows.start, cols.stop - cols.start
-    offset = rows.start - cols.start
-    band = _band(m, k, offset - theiler, offset + theiler)
+    count, m = pts.shape[0], n - first
+    band = _band(m, n, first - theiler, first + theiler)
     row_d, row_i = np.empty((count, m)), np.empty((count, m), dtype=np.intp)
-    col_d, col_i = (np.empty((count, k)), np.empty((count, k), dtype=np.intp)) if columns else (None, None)
-    r, c = np.arange(m), np.arange(k)
+    col_d, col_i = np.empty((count, columns)), np.empty((count, columns), dtype=np.intp)
+    r, c = np.arange(m), np.arange(columns)
 
     def search(lo, hi):
-        block = np.empty((m, k))
-        flat = block.ravel()
+        block = np.empty((m, n))
+        flat, lead = block.ravel(), block[:, :columns]
         for s in range(lo, hi):
-            cdist(pts[s, rows], pts[s, cols], out=block)
+            cdist(pts[s, first:n], pts[s, :n], out=block)
             flat[band] = np.inf
             block.argmin(axis=1, out=row_i[s])
             row_d[s] = block[r, row_i[s]]
             if columns:
-                block.argmin(axis=0, out=col_i[s])
+                lead.argmin(axis=0, out=col_i[s])
                 col_d[s] = block[col_i[s], c]
 
-    _over_segments(count, m * k, search)
-    row_i += cols.start
-    if columns:
-        col_i += rows.start
+    _over_segments(count, m * n, search)
+    col_i += first
     return row_d, row_i, col_d, col_i
 
 
-def _nearest_from_halves(pts, n, theiler, h, half_dist, half_nn):
-    """`_nearest` of [0, n) at window w = 2h, built from the neighbors at h.
+def _nearest_from_halves(pts, n, theiler, half_dist, half_nn):
+    """`_nearest` of [0, n) at window w, built from the neighbors at w/2.
 
-    Segment s at w is segments 2s (A) and 2s+1 (B) at h: its points [0, nh)
-    are A's searched points, [h, h + nh) are B's, and the gap [nh, h) is
-    searched by neither. Every pair outside both halves lies in one block of
-    fresh distances, rows [0, g) by columns [nh, n) with g = min(h, n): its
-    row minima are the nearest neighbors of A and the gap among [nh, n), its
-    column minima those of the gap and B among [0, g). B's own neighbors
-    count only where they lie before n; the other B rows are searched again
-    over [h, n), split over threads as the block was. The row minima and B's
-    own neighbors then replace a column or A neighbor only when strictly
-    nearer, so ties keep the lowest index. pts is the clip embedding cut at
-    w, and every distance, half_dist included, must be on that one scale;
-    the Theiler window does not depend on w.
+    Segment s at w begins with segment 2s at w/2 (A), whose points [0, nh)
+    were searched among themselves. One fresh block, rows [nh, n) by columns
+    [0, n), gives by its row minima the nearest neighbors of [nh, n), and by
+    its column minima over [0, nh) those of A's points among [nh, n), which
+    replace A's own only when strictly nearer, so ties keep the lowest index.
+    pts is the clip embedding cut at w, and every distance, half_dist
+    included, must be on that one scale; the Theiler window does not depend
+    on w.
     """
-    cdist = _cdist()
-    count = pts.shape[0]
     nh = half_dist.shape[1]
-    g = min(h, n)
-    row_d, row_i, col_d, col_i = _nearest(pts, slice(0, g), slice(nh, n), theiler, columns=True)
-    dist = np.concatenate((half_dist[0 : 2 * count : 2], col_d), axis=1)
-    nn = np.concatenate((half_nn[0 : 2 * count : 2], col_i), axis=1)
-    # candidates for rows [0, g), then for B's rows [h, n) when n > h = g
-    cand_d = np.concatenate((row_d, half_dist[1 : 2 * count : 2, : n - g]), axis=1)
-    cand_i = np.concatenate((row_i, half_nn[1 : 2 * count : 2, : n - g] + h), axis=1)
-    window = np.abs(np.subtract.outer(np.arange(n - g), np.arange(n - g))) <= theiler
-
-    def research(lo, hi):
-        for s in range(lo, hi):
-            r = h + np.flatnonzero(cand_i[s, h:] >= n)
-            if r.size:
-                again = cdist(pts[s, r], pts[s, h:n])
-                again[window[r - h]] = np.inf
-                cand_i[s, r] = again.argmin(axis=1) + h
-                cand_d[s, r] = again.min(axis=1)
-
-    _over_segments(count, g * (n - nh), research)
-    nearer = cand_d < dist
-    np.copyto(dist, cand_d, where=nearer)
-    np.copyto(nn, cand_i, where=nearer)
+    row_d, row_i, col_d, col_i = _nearest(pts, nh, n, theiler, columns=nh)
+    a = slice(0, 2 * pts.shape[0], 2)  # the segments A
+    nearer = col_d < half_dist[a]
+    dist = np.concatenate((np.where(nearer, col_d, half_dist[a]), row_d), axis=1)
+    nn = np.concatenate((np.where(nearer, col_i, half_nn[a]), row_i), axis=1)
     return dist, nn
 
 
@@ -326,17 +300,17 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
     Distances are measured on the clip scaled by the power of two from its
     peak, and the exact scale is undone before eps is added, so extreme
     amplitudes do not overflow and in-range results are unchanged. On that
-    one scale, segment s at w is segments 2s and 2s+1 at w/2 and, when w/2
-    is in the set, the search at w reuses theirs. This is exact while every nonzero sample of
-    the scaled clip is at least 2**-459 in magnitude (every squared
+    one scale, segment s at w begins with segment 2s at w/2, whose search w
+    reuses when w/2 is in the set. This is exact while every nonzero sample
+    of the scaled clip is at least 2**-459 in magnitude (every squared
     difference is then a normal number); below that each segment is scaled
     by its own peak and searched alone. A neighbor distance or a rate too
     large for a float raises InvalidArgumentError.
 
-    A window whose search has at least 32768 distance cells per segment
-    (w >= 512 at the default parameters) splits its independent segments into
-    contiguous ranges, one thread per CPU in `os.sched_getaffinity`; smaller
-    ones run on the calling thread. The results do not depend on the split.
+    A search with at least 32768 distance cells per segment (by default, the
+    blocks added at w >= 512) splits its independent segments into ranges,
+    one thread per CPU in `os.sched_getaffinity`; smaller ones run on the
+    calling thread. The results do not depend on the split.
     """
     p = p or EmbeddingParams()
     x = np.asarray(x, dtype=np.float64)
@@ -362,9 +336,9 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
             scaled, scale = unit_peak(x[: count * w].reshape(count, w), axis=1)
         pts = delay_embed(scaled, p.d, p.tau)
         if shared and searched is not None and 2 * searched[0] == w:
-            searched = (w, *_nearest_from_halves(pts, n, theiler, *searched))
+            searched = (w, *_nearest_from_halves(pts, n, theiler, *searched[1:]))
         else:
-            searched = (w, *_nearest(pts, slice(0, n), slice(0, n), theiler)[:2])
+            searched = (w, *_nearest(pts, 0, n, theiler)[:2])
         out[w] = _rates(pts, scale, n, delta, theiler, searched[2], p.eps)
         del pts  # not held while the next window is embedded
     return out
@@ -390,22 +364,21 @@ def dfa_fluctuation(x, n: int) -> float:
 
     Cumulative profile of the centered series, split into floor(len/n)
     non-overlapping boxes, linear detrend per box, RMS of the per-box mean
-    squared residuals. x is evaluated scaled by the power of two from its
-    peak, so F(2**k * x) == 2**k * F(x) exactly while both are finite; an F
-    too large for a float raises InvalidArgumentError.
+    squared residuals (0.0 at n = 2). x is evaluated scaled by the power of
+    two from its peak, so F(2**k * x) == 2**k * F(x) exactly while both are
+    finite; an F too large for a float raises InvalidArgumentError.
     """
     x = np.asarray(x, dtype=np.float64)
     n = _size(n, "DFA scale", 2)
     if x.size < 2 * n:
         raise InvalidArgumentError(f"need at least {2 * n} samples for scale {n}")
-    if np.ptp(x) == 0.0:
-        # centering a constant series leaves rounding dust in the profile;
-        # the fluctuation is zero by definition
+    if n == 2 or np.ptp(x) == 0.0:
+        # a line fits 2-sample boxes exactly, and centering a constant series
+        # leaves rounding dust in the profile: F is zero by definition
         return 0.0
     x, exponent = unit_peak(x)
     profile = np.cumsum(x - x.mean())
-    n_boxes = profile.size // n
-    boxes = profile[: n_boxes * n].reshape(n_boxes, n)
+    boxes = profile[: profile.size // n * n].reshape(-1, n)
     # least-squares line per box in closed form, on the centred time axis
     t = np.arange(n) - (n - 1) / 2
     y = boxes - boxes.mean(axis=1, keepdims=True)

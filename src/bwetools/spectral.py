@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import InvalidArgumentError, _finite, _size_fields
+from .errors import InvalidArgumentError, UnsupportedEncodingError, _finite, _size_fields
 from .signal import Waveform
 
 __all__ = [
@@ -334,6 +334,13 @@ def write_f32(path, grid: np.ndarray) -> None:
 
 
 def read_f32(path) -> np.ndarray:
+    """A `write_f32` dump as a float64 F x T grid; UnsupportedEncodingError,
+    naming the file, if the header is short or the payload not F x T values."""
     with open(path, "rb") as fh:
-        f, t = struct.unpack("<II", fh.read(8))
-        return np.frombuffer(fh.read(), dtype="<f4").reshape(f, t).astype(np.float64)
+        header, payload = fh.read(8), fh.read()
+    if len(header) < 8:
+        raise UnsupportedEncodingError(f"unsupported encoding in {path!r}: {len(header)}-byte header")
+    f, t = struct.unpack("<II", header)
+    if len(payload) != 4 * f * t:
+        raise UnsupportedEncodingError(f"unsupported encoding in {path!r}: {len(payload)} bytes for {f} x {t} values")
+    return np.frombuffer(payload, dtype="<f4").reshape(f, t).astype(np.float64)

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
@@ -213,7 +213,7 @@ class TestLyapunovKernel:
             ),
         ),
         extra=st.integers(0, 300),
-        d=st.sampled_from([1, 2, 3, 4, 13]),  # 13 at (16, 32): no B-half points at 32
+        d=st.sampled_from([1, 2, 3, 4, 13]),  # 13 at (16, 32): n = 2 and 16
         tau=st.integers(1, 3),
         delta=st.one_of(st.none(), st.integers(1, 8)),
         theiler=st.one_of(st.none(), st.integers(0, 40)),
@@ -221,6 +221,12 @@ class TestLyapunovKernel:
         below_floor=st.booleans(),
     )
     @settings(max_examples=150, deadline=None)
+    # theiler 14 leaves no pair at w = 16 (n = 15): 32 is searched whole, and 64 built from it
+    @example(kind="random", seed=1, windows=[16, 32, 64], extra=0, d=1, tau=1, delta=1, theiler=14,
+             amplitude=1.0, below_floor=False)
+    # theiler 10 at w = 16: rows 4 to 10 have no pair in their half, and each has one at 32
+    @example(kind="random", seed=2, windows=[16, 32], extra=40, d=1, tau=1, delta=1, theiler=10,
+             amplitude=1.0, below_floor=False)
     def test_windows_match_dense_reference(
         self, kind, seed, windows, extra, d, tau, delta, theiler, amplitude, below_floor
     ):
@@ -345,9 +351,11 @@ class TestLyapunovKernel:
         with pytest.raises(InvalidArgumentError, match="divergence rates"):
             lyapunov_exponents(loud.reshape(-1, 64), EmbeddingParams(d=1))
 
-    def test_mrld_matches_reference_on_pcm16_speech(self, tmp_path, speech):
+    @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+    def test_mrld_matches_reference_on_speech(self, tmp_path, speech, encoding):
+        # float32 speech has no distance ties, PCM16 speech many
         path = tmp_path / "speech.wav"
-        save_wav(path, speech(0.5, seed=3), encoding="pcm16")
+        save_wav(path, speech(0.5, seed=3), encoding=encoding)
         wf = load_wav(path)
         p = EmbeddingParams()
         stack = mrld_features(wf)
@@ -396,6 +404,15 @@ def reference_dfa(x, n):
 class TestDfa:
     def test_constant_input_zero(self):
         assert dfa_fluctuation(np.full(1000, 3.7), 100) == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_two_sample_boxes_are_fitted_exactly(self, speech, seed):
+        # the closed-form fit left 1e-15-sized rounding dust at n = 2
+        wf = speech(3.0, seed=seed)
+        assert dfa_fluctuation(wf.samples, 2) == 0.0
+        stack = msdfa_features(wf, scales=(2, 100))
+        assert [c["degenerate"] for c in stack.meta["channels"]] == [True, False]
+        assert np.all(stack.data[0] == 0.0)
 
     def test_blockwise_linear_profile_zero(self):
         # +-1 blocks aligned to the box size leave a linear profile per box
@@ -475,8 +492,8 @@ class TestDfa:
     @settings(max_examples=100, deadline=None)
     def test_matches_least_squares_reference(self, seed, n, extra, rounded, k):
         """The closed-form line per box gives lstsq's fluctuation to about
-        1e-15 relative; at n = 2 both fit each box exactly and leave only
-        rounding dust, which the absolute bound covers."""
+        1e-15 relative; at n = 2 the fluctuation is exactly 0 and lstsq's
+        rounding dust is inside the absolute bound."""
         x = np.random.default_rng(seed).standard_normal(2 * n + extra)
         if rounded:
             x = pcm16(0.1 * x)

@@ -1,4 +1,5 @@
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.signal import check_COLA
 from scipy.signal.windows import hann
 
-from bwetools.errors import InvalidArgumentError
+from bwetools.errors import InvalidArgumentError, UnsupportedEncodingError
 from bwetools.demo import synthetic_speech
 from bwetools.signal import Waveform, degrade
 from bwetools.spectral import (
@@ -316,6 +317,21 @@ class TestExport:
         back = read_f32(path)
         assert back.shape == (7, 5)
         assert np.allclose(back, grid, atol=1e-6)
+
+    @pytest.mark.parametrize(
+        "blob, problem",
+        [
+            (b"\x07\x00\x00\x00\x05", "5-byte header"),
+            (struct.pack("<II", 7, 5) + bytes(4 * 35 - 3), "137 bytes for 7 x 5 values"),
+            (struct.pack("<II", 7, 5) + bytes(4 * 35 + 4), "144 bytes for 7 x 5 values"),
+        ],
+        ids=["short-header", "cut-payload", "trailing-bytes"],
+    )
+    def test_f32_malformed_is_unsupported(self, tmp_path, blob, problem):
+        path = tmp_path / "grid.f32"
+        path.write_bytes(blob)
+        with pytest.raises(UnsupportedEncodingError, match=f"grid.f32.*{problem}"):
+            read_f32(path)
 
     def test_csv_rows_are_bins(self, tmp_path):
         grid = np.arange(12, dtype=float).reshape(3, 4)
