@@ -125,34 +125,30 @@ def _band(rows: int, cols: int, lo: int, hi: int) -> np.ndarray:
     return np.concatenate(diagonals) if diagonals else np.empty(0, dtype=np.intp)
 
 
-# Distance cells per segment below which a search runs on one thread. At the
-# default parameters the dyadic merge blocks are 56 x 110, 112 x 222, 224 x
-# 446 and 448 x 894 cells at w = 128, 256, 512 and 1024, so only the merges
-# at w >= 512 split. On 2 CPUs the split took those two from about 100-160 to
-# 50-80 ms and from 220-330 to 110-160 ms.
+# Clip samples below which `_over_segments` runs one range on the calling
+# thread: about 0.68 s at 48 kHz, or 32 blocks of MRLD's default windows.
 _SPLIT_CELLS = 32768
 
 
-def _over_segments(count: int, cells: int, search) -> None:
-    """Run search(lo, hi) over contiguous ranges covering segments [0, count),
-    one per CPU this process may use when a segment's search has at least
-    _SPLIT_CELLS distance cells (for `demo.synthetic_speech`, whose segments
-    are samples: when the clip has that many), else one. The first runs on
-    the calling thread, each other on its own; a call writes only its own
-    segments, with its own scratch, and any call's exception reaches the
-    caller."""
+def _over_segments(count: int, samples: int, part) -> None:
+    """Run part(lo, hi) over contiguous ranges covering [0, count), one per
+    CPU this process may use when the clip has at least _SPLIT_CELLS
+    `samples`, else one. The first runs on the calling thread, each other
+    on its own; a call writes only its own part of the output, with its own
+    scratch, and any call's exception reaches the caller."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    parts = min(count, cpus or 1) if cells >= _SPLIT_CELLS else 1
+    parts = min(count, cpus or 1) if samples >= _SPLIT_CELLS else 1
     if parts < 2:
-        search(0, count)
+        part(0, count)
         return
     from concurrent.futures import ThreadPoolExecutor
 
-    # the distance kernel and argmin release the GIL, so the ranges run in parallel
+    # sin, and the distance kernel on blocks of about 100 x 200 cells and up,
+    # release the GIL for long enough that the ranges run in parallel
     bounds = [count * k // parts for k in range(parts + 1)]
     with ThreadPoolExecutor(parts - 1) as pool:
-        futures = [pool.submit(search, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
-        search(0, bounds[1])
+        futures = [pool.submit(part, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        part(0, bounds[1])
         for future in futures:
             future.result()
 
@@ -192,27 +188,24 @@ def _nearest(pts, first: int, n: int, theiler: int, columns: int = 0):
     window |j - j'| <= theiler: (distance, index) of each row among the
     columns and of each of the first `columns` columns among the rows, as
     point indices, the lowest on ties. A row or column with no pair outside
-    the window gets inf."""
+    the window gets inf. Segments are searched in turn, on the calling
+    thread, through one scratch block."""
     cdist = _cdist()
     count, m = pts.shape[0], n - first
     band = _band(m, n, first - theiler, first + theiler)
     row_d, row_i = np.empty((count, m)), np.empty((count, m), dtype=np.intp)
     col_d, col_i = np.empty((count, columns)), np.empty((count, columns), dtype=np.intp)
     r, c = np.arange(m), np.arange(columns)
-
-    def search(lo, hi):
-        block = np.empty((m, n))
-        flat, lead = block.ravel(), block[:, :columns]
-        for s in range(lo, hi):
-            cdist(pts[s, first:n], pts[s, :n], out=block)
-            flat[band] = np.inf
-            block.argmin(axis=1, out=row_i[s])
-            row_d[s] = block[r, row_i[s]]
-            if columns:
-                lead.argmin(axis=0, out=col_i[s])
-                col_d[s] = block[col_i[s], c]
-
-    _over_segments(count, m * n, search)
+    block = np.empty((m, n))
+    flat, lead = block.ravel(), block[:, :columns]
+    for s in range(count):
+        cdist(pts[s, first:n], pts[s, :n], out=block)
+        flat[band] = np.inf
+        block.argmin(axis=1, out=row_i[s])
+        row_d[s] = block[r, row_i[s]]
+        if columns:
+            lead.argmin(axis=0, out=col_i[s])
+            col_d[s] = block[col_i[s], c]
     col_i += first
     return row_d, row_i, col_d, col_i
 
@@ -249,7 +242,7 @@ def _norms(a: np.ndarray, b: np.ndarray, exponent) -> np.ndarray:
 
 
 def _rates(y: np.ndarray, exponent, n: int, delta: int, theiler: int, nn: np.ndarray, eps: float):
-    """The one-window kernel: (values, degenerate) of embedded segments y,
+    """The one-window kernel: the value of each embedded segment of y,
     (count, n + delta, d), scaled by 2**-exponent (a scalar, or a (count, 1)
     column), given nn, the nearest neighbor of each of their first n points.
     Needs theiler < n - 1, so that some rows have a point outside the window.
@@ -266,7 +259,7 @@ def _rates(y: np.ndarray, exponent, n: int, delta: int, theiler: int, nn: np.nda
     valid = (j > theiler) | (j < n - 1 - theiler)
     with np.errstate(over="ignore", divide="ignore"):  # a non-finite rate raises below instead
         rates = np.log(np.compress(valid, (d1 + eps) / (d0 + eps), axis=1)) / delta
-    return _finite(rates, "the array of divergence rates").mean(axis=1), np.zeros(count, dtype=bool)
+    return _finite(rates, "the array of divergence rates").mean(axis=1)
 
 
 def lyapunov_exponents(segments, p: EmbeddingParams | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -307,40 +300,55 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
     by its own peak and searched alone. A neighbor distance or a rate too
     large for a float raises InvalidArgumentError.
 
-    A search with at least 32768 distance cells per segment (by default, the
-    blocks added at w >= 512) splits its independent segments into ranges,
-    one thread per CPU in `os.sched_getaffinity`; smaller ones run on the
-    calling thread. The results do not depend on the split.
+    The clip is cut into ranges of whole blocks of lcm(windows) samples, the
+    last range taking the tail, and each range runs every window over its own
+    samples: one range per CPU in `os.sched_getaffinity` for a clip of at
+    least 32768 samples, else one on the calling thread. A segment and the
+    halves it is built from never straddle a cut, so the results do not
+    depend on the split. A non-finite sample raises InvalidArgumentError
+    before any range starts.
     """
     p = p or EmbeddingParams()
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise InvalidArgumentError("x must be one-dimensional")
-    z, exponent = unit_peak(x)
+    z, exponent = unit_peak(_finite(x, "x"))
     shared = bool(np.all((z == 0) | (np.abs(z) >= _SHARED_SCALE_FLOOR)))
-    out = {}
-    searched = None  # (window, distances, neighbors) on the clip scale
-    for w in _sizes(windows, "window sizes"):
-        count = x.size // w
+    windows = _sizes(windows, "window sizes")
+    out, searches = {}, {}
+    for w in windows:
         try:
             n, delta, theiler = _horizon(w, p)
         except InvalidArgumentError:
             out[w] = (np.empty(0), np.empty(0, dtype=bool))
             continue
-        if theiler >= n - 1 or count == 0:  # no pair outside the Theiler window
-            out[w] = (np.zeros(count), np.ones(count, dtype=bool))
-            continue
-        if shared:
-            scaled, scale = z[: count * w].reshape(count, w), exponent
-        else:  # each segment on its own scale, searched alone
-            scaled, scale = unit_peak(x[: count * w].reshape(count, w), axis=1)
-        pts = delay_embed(scaled, p.d, p.tau)
-        if shared and searched is not None and 2 * searched[0] == w:
-            searched = (w, *_nearest_from_halves(pts, n, theiler, *searched[1:]))
-        else:
-            searched = (w, *_nearest(pts, 0, n, theiler)[:2])
-        out[w] = _rates(pts, scale, n, delta, theiler, searched[2], p.eps)
-        del pts  # not held while the next window is embedded
+        # a window that covers every pair leaves each segment 0.0 and degenerate
+        out[w] = (np.zeros(x.size // w), np.full(x.size // w, theiler >= n - 1))
+        if theiler < n - 1:
+            searches[w] = n, delta, theiler
+    block = math.lcm(*windows)
+    blocks = x.size // block
+
+    def chain(lo, hi):
+        start, stop = lo * block, hi * block if hi < blocks else x.size
+        searched = None  # (window, distances, neighbors) on the clip scale
+        for w, (n, delta, theiler) in searches.items():
+            first, count = start // w, (stop - start) // w
+            if shared:
+                scaled, scale = z[start : start + count * w].reshape(count, w), exponent
+            else:  # each segment on its own scale, searched alone
+                scaled, scale = unit_peak(x[start : start + count * w].reshape(count, w), axis=1)
+            pts = delay_embed(scaled, p.d, p.tau)
+            if shared and searched is not None and 2 * searched[0] == w:
+                searched = (w, *_nearest_from_halves(pts, n, theiler, *searched[1:]))
+            else:
+                searched = (w, *_nearest(pts, 0, n, theiler)[:2])
+            out[w][0][first : first + count] = _rates(pts, scale, n, delta, theiler, searched[2], p.eps)
+            del pts  # not held while the next window is embedded
+
+    if searches:  # the kernel is loaded here, not by two ranges at once
+        _cdist()
+    _over_segments(blocks, x.size, chain)
     return out
 
 
@@ -366,9 +374,10 @@ def dfa_fluctuation(x, n: int) -> float:
     non-overlapping boxes, linear detrend per box, RMS of the per-box mean
     squared residuals (0.0 at n = 2). x is evaluated scaled by the power of
     two from its peak, so F(2**k * x) == 2**k * F(x) exactly while both are
-    finite; an F too large for a float raises InvalidArgumentError.
+    finite; an F too large for a float, or a non-finite sample, raises
+    InvalidArgumentError.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite(np.asarray(x, dtype=np.float64), "x")
     n = _size(n, "DFA scale", 2)
     if x.size < 2 * n:
         raise InvalidArgumentError(f"need at least {2 * n} samples for scale {n}")
@@ -408,10 +417,10 @@ def recurrence_plot(x, max_size: int = 512) -> RecurrencePlot:
     uniform stride first. The threshold is the mean of the strict upper
     triangle; the diagonal is forced to 1. Distances are evaluated scaled by
     the power of two from the peak, so the matrix does not depend on 2**k
-    scaling and the threshold scales exactly; one too large for a float
-    raises InvalidArgumentError.
+    scaling and the threshold scales exactly; one too large for a float,
+    or a non-finite sample, raises InvalidArgumentError.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite(np.asarray(x, dtype=np.float64), "x")
     if x.size < 2:
         raise InvalidArgumentError("need at least 2 samples")
     max_size = _size(max_size, "max_size", 2)
@@ -434,9 +443,10 @@ def poincare_sd(x) -> PoincareDescriptors:
     SD2^2 = 2*Var(x) - SD1^2 with population variance, so that
     SD1^2 + SD2^2 == 2*Var(x) holds identically. x is evaluated scaled by
     the power of two from its peak, so both scale exactly with 2**k * x
-    while finite; one too large for a float raises InvalidArgumentError.
+    while finite; one too large for a float, or a non-finite sample,
+    raises InvalidArgumentError.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = _finite(np.asarray(x, dtype=np.float64), "x")
     if x.size < 3:
         raise InvalidArgumentError("need at least 3 samples")
     x, exponent = unit_peak(x)

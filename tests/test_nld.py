@@ -28,9 +28,10 @@ from bwetools.signal import Waveform, frame, load_wav, save_wav, unit_peak
 from conftest import logistic_orbit
 
 SCALES = (100, 200, 300, 500, 600)
-# the search's size threshold as shipped, and 0, which splits every search
-# over more than one segment across threads
+# the clip-size threshold as shipped, and 0, which splits every clip of more
+# than one lcm(windows) block across threads
 SPLIT_CELLS = (nld._SPLIT_CELLS, 0)
+SPLIT = nld._over_segments
 
 
 class TestDelayEmbed:
@@ -150,6 +151,33 @@ def reference_lyapunov(segment, p):
 
 def pcm16(x):
     return np.round(np.clip(x, -1.0, 32767.0 / 32768.0) * 32768.0) / 32768.0
+
+
+def record_split(monkeypatch, cpus):
+    """Patch this process to `cpus` CPUs, and return the list that collects
+    (count, cells, ranges) for each `nld._over_segments` call from then on;
+    a range is recorded when it returns."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    calls = []
+
+    def over_segments(count, cells, part):
+        ranges = []
+        calls.append((count, cells, ranges))
+
+        def recorded(lo, hi):
+            part(lo, hi)
+            ranges.append((lo, hi))
+
+        SPLIT(count, cells, recorded)
+
+    monkeypatch.setattr(nld, "_over_segments", over_segments)
+    return calls
+
+
+def assert_same_levels(levels, expected):
+    assert list(levels) == list(expected)
+    for w, (values, degenerate) in expected.items():
+        assert np.array_equal(levels[w][0], values) and np.array_equal(levels[w][1], degenerate)
 
 
 class TestLyapunovKernel:
@@ -304,8 +332,67 @@ class TestLyapunovKernel:
                 split = lyapunov_windows(x, DEFAULT_LYAPUNOV_WINDOWS)
         finally:
             sys.setswitchinterval(interval)
-        for w, (values, degenerate) in serial.items():
-            assert np.array_equal(split[w][0], values) and np.array_equal(split[w][1], degenerate)
+        assert_same_levels(split, serial)
+
+    @pytest.mark.parametrize("windows, block", [(DEFAULT_LYAPUNOV_WINDOWS, 1024), ((64, 100), 1600)])
+    def test_clip_is_cut_at_multiples_of_every_window(self, monkeypatch, speech, windows, block):
+        x = speech(3.0).samples
+        calls = record_split(monkeypatch, 3)
+        levels = lyapunov_windows(x, windows)
+        [(count, cells, ranges)] = calls
+        # whole blocks of `block` samples, a third of them per CPU
+        assert (count, cells) == (x.size // block, x.size)
+        assert sorted(ranges) == [(0, count // 3), (count // 3, 2 * count // 3), (2 * count // 3, count)]
+        # the last range runs to the clip's end: at 1024 the 640-sample tail
+        # holds the last segments at w <= 512
+        tail = lyapunov_windows(x[count * block :], windows)
+        for w, (values, degenerate) in tail.items():
+            assert np.array_equal(levels[w][0][count * block // w :], values)
+            assert not degenerate.any()
+        assert tail[64][0].size == (10 if block == 1024 else 0)
+
+    def test_windows_with_a_common_block_past_the_clip_run_as_one_range(self, monkeypatch, speech):
+        x = speech(1.0).samples
+        calls = record_split(monkeypatch, 3)
+        levels = lyapunov_windows(x, (1021, 1031))
+        assert calls == [(0, x.size, [(0, 0)])]  # lcm 1052651
+        assert [values.size for values, _ in levels.values()] == [47, 46]
+        assert np.all(levels[1021][0] != 0) and np.all(levels[1031][0] != 0)
+
+    def test_clip_split_changes_no_bit(self, monkeypatch, speech):
+        x = speech(1.0).samples
+        levels = {}
+        for cpus in (1, 3):
+            calls = record_split(monkeypatch, cpus)
+            levels[cpus] = lyapunov_windows(x, DEFAULT_LYAPUNOV_WINDOWS)
+            assert len(calls[0][2]) == cpus
+        assert_same_levels(levels[3], levels[1])
+
+    def test_kernel_is_loaded_before_any_range_starts(self, monkeypatch, speech):
+        # ranges that each found it missing would each execute scipy's extension
+        nld._cdist.cache_clear()
+        loaded = []
+
+        def over_segments(count, cells, part):
+            loaded.append(nld._cdist.cache_info().currsize)
+            SPLIT(count, cells, part)
+
+        monkeypatch.setattr(nld, "_over_segments", over_segments)
+        lyapunov_windows(speech(1.0).samples, DEFAULT_LYAPUNOV_WINDOWS)
+        assert loaded == [1]
+
+    def test_error_in_a_later_range_reaches_the_caller(self, monkeypatch, speech):
+        # the first half 2**20 below a peak of about 1.7e308; in the second
+        # some neighbor distances exceed the largest float
+        wf = speech(1.0)
+        x = wf.samples / np.abs(wf.samples).max() * 1.7e308
+        x[: x.size // 2] *= 2.0**-20
+        calls = record_split(monkeypatch, 2)
+        with pytest.raises(InvalidArgumentError, match="neighbor distances"):
+            lyapunov_windows(x, DEFAULT_LYAPUNOV_WINDOWS)
+        # 46 blocks: the first range, samples [0, 23552), returned; the second raised
+        assert calls == [(46, x.size, [(0, 23)])]
+        lyapunov_windows(x[:23552], DEFAULT_LYAPUNOV_WINDOWS)  # its samples alone raise nothing
 
     def test_degenerate_cases(self):
         p = EmbeddingParams(d=2, tau=1, delta=1, theiler=0)
@@ -384,9 +471,7 @@ class TestLyapunovKernel:
             fallback = lyapunov_windows(x, DEFAULT_LYAPUNOV_WINDOWS)
         finally:
             nld._cdist.cache_clear()  # the next call loads the kernel again
-        assert list(fallback) == list(kernel)
-        for w, (values, degenerate) in kernel.items():
-            assert np.array_equal(fallback[w][0], values) and np.array_equal(fallback[w][1], degenerate)
+        assert_same_levels(fallback, kernel)
 
 
 def reference_dfa(x, n):
@@ -600,3 +685,26 @@ class TestPoincare:
     def test_too_short(self):
         with pytest.raises(InvalidArgumentError):
             poincare_sd(np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, 150])
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda x: dfa_fluctuation(x, 100), id="dfa_fluctuation"),
+        pytest.param(lambda x: dfa_fluctuation(x, 2), id="dfa_fluctuation_at_2"),
+        pytest.param(lambda x: dfa_exponent(x, SCALES), id="dfa_exponent"),
+        pytest.param(poincare_sd, id="poincare_sd"),
+        pytest.param(lambda x: recurrence_plot(x[:300]), id="recurrence_plot"),
+        pytest.param(lambda x: lyapunov_windows(x, DEFAULT_LYAPUNOV_WINDOWS), id="lyapunov_windows"),
+        pytest.param(lambda x: local_lyapunov(x[:1024]), id="local_lyapunov"),
+    ],
+)
+def test_non_finite_input_raises(monkeypatch, call, index, value):
+    x = np.random.default_rng(0).standard_normal(4096)
+    x[index] = value
+    calls = record_split(monkeypatch, 2)
+    with pytest.raises(InvalidArgumentError, match="x has a non-finite entry"):
+        call(x)
+    assert calls == []  # raised before any range of a Lyapunov search started
