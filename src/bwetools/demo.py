@@ -56,7 +56,7 @@ def synthetic_speech(duration: float = 3.0, rate: int = 48000, seed: int = 0) ->
             v += s
 
     # sin releases the GIL, so the ranges run in parallel
-    _over_segments(n, n, harmonics)
+    _over_segments(n, harmonics)
 
     syllables = 0.55 + 0.45 * np.sin(2.0 * np.pi * 3.5 * t + rng.uniform(0, 2 * np.pi))
     voiced *= syllables

@@ -114,11 +114,14 @@ def msdfa_features(
 ) -> FeatureMapStack:
     """DFA fluctuations tiled into constant side x side maps, one per scale, in
     ascending scale order. Scales must be distinct integers >= 2, and the
-    tile side an integer >= 1. A scale longer than half the clip, or one whose
-    fluctuation is exactly 0 (a silent or constant clip, or scale 2), gives a
-    zero map flagged degenerate, as a zero-variance MRLD channel is."""
+    tile side an integer >= 1 whose maps fit one numpy array. A scale longer
+    than half the clip, or one whose fluctuation is exactly 0 (a silent or
+    constant clip, or scale 2), gives a zero map flagged degenerate, as a
+    zero-variance MRLD channel is."""
     scales = [_size(n, "DFA scale", 2) for n in _sizes(scales, "DFA scales")]
     side = _size(side, "tile side", 1)
+    if len(scales) * side * side * 8 > np.iinfo(np.intp).max:  # numpy's largest array, in bytes
+        raise InvalidArgumentError(f"tile side {side} gives more float64 values than one array can hold")
     data = np.zeros((len(scales), side, side))
     channel_meta = []
     for c, n in enumerate(scales):

@@ -125,32 +125,26 @@ def _band(rows: int, cols: int, lo: int, hi: int) -> np.ndarray:
     return np.concatenate(diagonals) if diagonals else np.empty(0, dtype=np.intp)
 
 
-# Clip samples below which `_over_segments` runs one range on the calling
-# thread: about 0.68 s at 48 kHz, or 32 blocks of MRLD's default windows.
-_SPLIT_CELLS = 32768
-
-
-def _over_segments(count: int, samples: int, part) -> None:
+def _over_segments(count: int, part) -> None:
     """Run part(lo, hi) over contiguous ranges covering [0, count), one per
-    CPU this process may use when the clip has at least _SPLIT_CELLS
-    `samples`, else one. The first runs on the calling thread, each other
-    on its own; a call writes only its own part of the output, with its own
-    scratch, and any call's exception reaches the caller."""
+    CPU this process may use but at most count: the first on the calling
+    thread, each other on its own. A call writes only its own part of the
+    output, with its own scratch, and any call's exception reaches the caller."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    parts = min(count, cpus or 1) if samples >= _SPLIT_CELLS else 1
+    parts = min(count, cpus or 1)
     if parts < 2:
         part(0, count)
         return
     from concurrent.futures import ThreadPoolExecutor
 
     # sin, and the distance kernel on blocks of about 100 x 200 cells and up,
-    # release the GIL for long enough that the ranges run in parallel
+    # release the GIL, so the ranges run in parallel; the first range on a
+    # pool thread too took one more malloc arena, and 8 MB more peak RSS
     bounds = [count * k // parts for k in range(parts + 1)]
     with ThreadPoolExecutor(parts - 1) as pool:
-        futures = [pool.submit(part, lo, hi) for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        rest = pool.map(part, bounds[1:-1], bounds[2:])
         part(0, bounds[1])
-        for future in futures:
-            future.result()
+        list(rest)
 
 
 _DISTANCE_EXTENSION = "scipy.spatial._distance_pybind"
@@ -280,7 +274,8 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
 
     Returns {window: (values, degenerate)} in ascending window order, one
     entry per whole segment of w samples; a window too short for the
-    embedding gets empty arrays. Windows must be distinct integers >= 1.
+    embedding, or longer than the clip, gets empty arrays and is never
+    searched. Windows must be distinct integers >= 1.
 
     Per segment: for each embedded point j (with j+delta valid) the nearest
     neighbor j' outside the Theiler window |j - j'| <= theiler is found by
@@ -302,11 +297,11 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
 
     The clip is cut into ranges of whole blocks of lcm(windows) samples, the
     last range taking the tail, and each range runs every window over its own
-    samples: one range per CPU in `os.sched_getaffinity` for a clip of at
-    least 32768 samples, else one on the calling thread. A segment and the
-    halves it is built from never straddle a cut, so the results do not
-    depend on the split. A non-finite sample raises InvalidArgumentError
-    before any range starts.
+    samples: one range per CPU in `os.sched_getaffinity` but at most one per
+    block, the first on the calling thread. A segment and the halves it is
+    built from never straddle a cut, so the results do not depend on the
+    split. A non-finite sample raises InvalidArgumentError before any range
+    starts.
     """
     p = p or EmbeddingParams()
     x = np.asarray(x, dtype=np.float64)
@@ -324,7 +319,7 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
             continue
         # a window that covers every pair leaves each segment 0.0 and degenerate
         out[w] = (np.zeros(x.size // w), np.full(x.size // w, theiler >= n - 1))
-        if theiler < n - 1:
+        if theiler < n - 1 and w <= x.size:
             searches[w] = n, delta, theiler
     block = math.lcm(*windows)
     blocks = x.size // block
@@ -348,7 +343,7 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
 
     if searches:  # the kernel is loaded here, not by two ranges at once
         _cdist()
-    _over_segments(blocks, x.size, chain)
+    _over_segments(blocks, chain)
     return out
 
 

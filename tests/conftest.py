@@ -1,8 +1,15 @@
+import contextlib
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from bwetools import demo, nld
 from bwetools.demo import synthetic_speech
 from bwetools.signal import Waveform
+
+SPLIT = nld._over_segments
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +39,29 @@ def logistic_orbit(n, x0=0.37):
     for i in range(1, n):
         x[i] = 4.0 * x[i - 1] * (1.0 - x[i - 1])
     return x
+
+
+@contextlib.contextmanager
+def record_split(cpus):
+    """Within the block, this process may use `cpus` CPUs, and every
+    `nld._over_segments` call, by MRLD or by `demo.synthetic_speech`, appends
+    (count, ranges) to the list it yields; a range is recorded when it
+    returns."""
+    calls = []
+
+    def over_segments(count, part):
+        ranges = []
+        calls.append((count, ranges))
+
+        def recorded(lo, hi):
+            part(lo, hi)
+            ranges.append((lo, hi))
+
+        SPLIT(count, recorded)
+
+    with (
+        mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)), create=True),
+        mock.patch.object(nld, "_over_segments", over_segments),
+        mock.patch.object(demo, "_over_segments", over_segments),
+    ):
+        yield calls

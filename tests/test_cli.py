@@ -1,11 +1,17 @@
+import contextlib
 import inspect
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bwetools import featmaps, metrics, nld
-from bwetools.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXTRACTORS, main
+from bwetools.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXTRACTORS, NETWORKS, main
 from bwetools.demo import synthetic_speech
 from bwetools.signal import Waveform, degrade, load_wav, save_wav
 
@@ -317,6 +323,23 @@ class TestConfig:
             runs.append((capsys.readouterr().out, files))
         assert runs[0] == runs[1]
 
+    def test_window_longer_than_any_clip_is_degenerate(self, clip_path, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"windows": [10**30]}))
+        argv = ["--config", str(cfg), "features", str(clip_path), "mrld", str(tmp_path / "m")]
+        assert main(argv) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["shape"] == [1, 1, 0]
+        assert doc["meta"]["channels"] == [{"window": 10**30, "count": 0, "degenerate": True}]
+
+    def test_msdfa_side_past_the_largest_array(self, clip_path, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"side": 1000000000}))
+        argv = ["--config", str(cfg), "features", str(clip_path), "msdfa", str(tmp_path / "m")]
+        assert main(argv) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: tile side 1000000000 ")
+
     def test_bad_config(self, clip_path, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("not json")
@@ -330,3 +353,77 @@ class TestConfig:
         cfg.write_bytes(raw)
         assert main(["--config", str(cfg), "netinfo", "mrld"]) == EXIT_USAGE
         assert "is not valid JSON" in capsys.readouterr().err
+
+
+# every subcommand, and features with every extractor
+COMMANDS = [
+    ("degrade",),
+    ("compare",),
+    *(("features", name) for name in EXTRACTORS),
+    *(("netinfo", name) for name in NETWORKS),
+]
+# degrade's low rate for each input rate: small resampling plans only (a
+# coprime pair of large rates designs plans of tens of MB); 1 -> 1 is refused
+LOW_RATES = {1: 1, 2: 1, 7: 3, 8000: 4000, 16000: 8000, 48000: 8000}
+KINDS = ["silence", "constant", "impulse", "alternating", "noise", "tiny", "speech"]
+
+
+def generated(kind, size, seed, speech):
+    rng = np.random.default_rng(seed)
+    if kind == "silence":
+        return np.zeros(size)
+    if kind == "constant":
+        return np.full(size, 0.5)
+    if kind == "impulse":
+        return np.eye(1, size, size // 2)[0]
+    if kind == "alternating":
+        return np.resize([1.0, -1.0], size)
+    if kind == "noise":
+        return rng.uniform(-1, 1, size)
+    if kind == "tiny":
+        return (rng.standard_normal(size) * 1e-30).astype(np.float32)
+    start = rng.integers(0, 48000 - size)
+    return speech(1.0).samples[start : start + size]
+
+
+@given(
+    command=st.sampled_from(COMMANDS),
+    rate=st.sampled_from(sorted(LOW_RATES)),
+    size=st.integers(0, 3000),
+    kinds=st.tuples(st.sampled_from(KINDS), st.sampled_from(KINDS)),
+    encoding=st.sampled_from(["pcm16", "float32"]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=200, deadline=None)
+def test_every_command_on_generated_wavs(speech, command, rate, size, kinds, encoding, seed):
+    """Each run exits 0, 2 or 3; an exit 3 prints one `error: ` line; a
+    features run lists only files it wrote, and its sidecar is its stdout."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = [tmp / "reference.wav", tmp / "estimate.wav"]
+        for path, kind in zip(paths, kinds):
+            save_wav(path, Waveform(generated(kind, size, seed, speech), rate), encoding)
+        out_dir = tmp / "out"
+        argv = {
+            "degrade": ["degrade", str(paths[0]), str(LOW_RATES[rate]), str(out_dir)],
+            "compare": ["compare", *map(str, paths)],
+            "features": ["features", str(paths[0]), command[-1], str(out_dir)],
+            "netinfo": list(command),
+        }[command[0]]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        out, err = stdout.getvalue(), stderr.getvalue()
+        assert code in (EXIT_OK, EXIT_IO, EXIT_USAGE)
+        if code == EXIT_USAGE:
+            assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        if code != EXIT_OK:
+            assert out == ""
+        elif command[0] == "degrade":
+            degraded = load_wav(out_dir)
+            assert out == "" and (degraded.rate, len(degraded)) == (rate, size)
+        else:
+            doc = json.loads(out)
+            if command[0] == "features":
+                assert all((out_dir / name).is_file() for name in doc.get("files", []))
+                assert (out_dir / f"{command[1]}_meta.json").read_text() + "\n" == out

@@ -2,15 +2,14 @@
 argument checks."""
 
 import hashlib
-import os
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from bwetools import demo, nld
 from bwetools.demo import synthetic_speech
 from bwetools.errors import InvalidArgumentError
+from conftest import record_split
 
 # sha256 of synthetic_speech(duration, rate, seed).samples, taken from the
 # serial harmonic loop with one uniform draw per harmonic
@@ -35,32 +34,26 @@ def test_samples_are_pinned(args):
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
-def test_samples_do_not_depend_on_the_split(monkeypatch, cpus):
-    # one CPU runs the serial path; three split every clip, however short,
-    # into uneven ranges
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    with mock.patch.object(nld, "_SPLIT_CELLS", 0):
+def test_samples_do_not_depend_on_the_split(cpus):
+    # one CPU runs the serial path; three split every clip into uneven ranges
+    with record_split(cpus) as calls:
         for args, expected in PINNED.items():
             assert digest(args) == expected, args
+    assert [len(ranges) for _, ranges in calls] == [cpus] * len(PINNED)
 
 
-def test_harmonics_split_into_one_range_per_cpu(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    ranges = []
-
-    def over_segments(count, cells, search):
-        def recorded(lo, hi):
-            ranges.append((lo, hi))
-            search(lo, hi)
-
-        nld._over_segments(count, cells, recorded)
-
-    monkeypatch.setattr(demo, "_over_segments", over_segments)
-    synthetic_speech(1.0, 40000, 0)  # 40000 samples, above the split threshold
-    assert sorted(ranges) == [(0, 13333), (13333, 26666), (26666, 40000)]
-    ranges.clear()
-    synthetic_speech(0.5, 40000, 0)  # 20000 samples run on the calling thread
-    assert ranges == [(0, 20000)]
+def test_harmonics_split_into_one_range_per_cpu():
+    with record_split(3) as calls:
+        synthetic_speech(1.0, 40000, 0)
+        synthetic_speech(0.5, 40000, 0)
+        synthetic_speech(2 / 40000, 40000, 0)  # one range per sample
+        synthetic_speech(1 / 40000, 40000, 0)  # one range, on the calling thread
+    assert [(count, sorted(ranges)) for count, ranges in calls] == [
+        (40000, [(0, 13333), (13333, 26666), (26666, 40000)]),
+        (20000, [(0, 6666), (6666, 13333), (13333, 20000)]),
+        (2, [(0, 1), (1, 2)]),
+        (1, [(0, 1)]),
+    ]
 
 
 @pytest.mark.parametrize(

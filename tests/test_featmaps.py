@@ -161,6 +161,14 @@ class TestMsdfa:
         with pytest.raises(InvalidArgumentError, match="tile side"):
             msdfa_features(noise_wave(4096), side=side)
 
+    @pytest.mark.parametrize("scales, side", [(DEFAULT_DFA_SCALES, 10**9), ((100,), 2**30), ((100, 200), 3 * 2**28)])
+    def test_side_past_the_largest_array_rejected(self, scales, side):
+        # numpy refuses these maps itself, as more bytes than its largest index
+        with pytest.raises(ValueError, match="too big"):
+            np.empty((len(scales), side, side))
+        with pytest.raises(InvalidArgumentError, match=f"tile side {side} "):
+            msdfa_features(noise_wave(4096), scales, side=side)
+
     @pytest.mark.parametrize("side", [8.0, np.int64(8)])
     def test_integral_side_accepted(self, side):
         wf = noise_wave(4096, seed=8)

@@ -1,7 +1,6 @@
 import math
 import os
 import sys
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,13 +24,12 @@ from bwetools.nld import (
     recurrence_plot,
 )
 from bwetools.signal import Waveform, frame, load_wav, save_wav, unit_peak
-from conftest import logistic_orbit
+from conftest import SPLIT, logistic_orbit, record_split
 
 SCALES = (100, 200, 300, 500, 600)
-# the clip-size threshold as shipped, and 0, which splits every clip of more
-# than one lcm(windows) block across threads
-SPLIT_CELLS = (nld._SPLIT_CELLS, 0)
-SPLIT = nld._over_segments
+# one range on the calling thread, and three uneven ones wherever the clip
+# holds three lcm(windows) blocks
+SPLIT_CPUS = (1, 3)
 
 
 class TestDelayEmbed:
@@ -153,27 +151,6 @@ def pcm16(x):
     return np.round(np.clip(x, -1.0, 32767.0 / 32768.0) * 32768.0) / 32768.0
 
 
-def record_split(monkeypatch, cpus):
-    """Patch this process to `cpus` CPUs, and return the list that collects
-    (count, cells, ranges) for each `nld._over_segments` call from then on;
-    a range is recorded when it returns."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    calls = []
-
-    def over_segments(count, cells, part):
-        ranges = []
-        calls.append((count, cells, ranges))
-
-        def recorded(lo, hi):
-            part(lo, hi)
-            ranges.append((lo, hi))
-
-        SPLIT(count, cells, recorded)
-
-    monkeypatch.setattr(nld, "_over_segments", over_segments)
-    return calls
-
-
 def assert_same_levels(levels, expected):
     assert list(levels) == list(expected)
     for w, (values, degenerate) in expected.items():
@@ -215,8 +192,8 @@ class TestLyapunovKernel:
             # floor, so each row runs on its own scale
             segments[rng.integers(count)] *= 2.0**-600
         expected = [reference_lyapunov(seg, p) for seg in segments]
-        for cells in SPLIT_CELLS:
-            with mock.patch.object(nld, "_SPLIT_CELLS", cells):
+        for cpus in SPLIT_CPUS:
+            with record_split(cpus):
                 values, degenerate = lyapunov_exponents(segments, p)
             assert values.tolist() == [v for v, _ in expected]
             assert degenerate.tolist() == [flag for _, flag in expected]
@@ -294,8 +271,8 @@ class TestLyapunovKernel:
             with pytest.raises(InvalidArgumentError, match="divergence rates"):
                 lyapunov_windows(x, windows, p)
             return
-        for cells in SPLIT_CELLS:
-            with mock.patch.object(nld, "_SPLIT_CELLS", cells):
+        for cpus in SPLIT_CPUS:
+            with record_split(cpus):
                 levels = lyapunov_windows(x, windows, p)
             assert list(levels) == sorted(windows)
             for w, (values, degenerate) in levels.items():
@@ -316,32 +293,34 @@ class TestLyapunovKernel:
 
         # 2 CPUs: the calling thread searches [0, 2), a worker [2, 4) and fails
         with pytest.raises(RuntimeError, match="segments 2 to 4"):
-            nld._over_segments(4, nld._SPLIT_CELLS, search)
+            nld._over_segments(4, search)
         assert searched == [(0, 2)]
 
-    def test_split_search_on_more_threads_than_cpus(self, monkeypatch):
-        # 8 threads on this process's CPUs, switching every microsecond: every
-        # range writes only its own segments, so the split changes no bit
+    def test_split_search_on_more_threads_than_cpus(self):
+        # 7 threads (8 CPUs, 7 blocks) on this process's CPUs, switching every
+        # microsecond: every range writes only its own segments, so the split
+        # changes no bit
         x = synthetic_speech(duration=0.5, rate=16000, seed=5).samples
-        serial = lyapunov_windows(x, DEFAULT_LYAPUNOV_WINDOWS)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+        with record_split(1):
+            serial = lyapunov_windows(x, DEFAULT_LYAPUNOV_WINDOWS)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with mock.patch.object(nld, "_SPLIT_CELLS", 0):
+            with record_split(8) as calls:
                 split = lyapunov_windows(x, DEFAULT_LYAPUNOV_WINDOWS)
         finally:
             sys.setswitchinterval(interval)
+        assert len(calls[0][1]) == 7
         assert_same_levels(split, serial)
 
     @pytest.mark.parametrize("windows, block", [(DEFAULT_LYAPUNOV_WINDOWS, 1024), ((64, 100), 1600)])
-    def test_clip_is_cut_at_multiples_of_every_window(self, monkeypatch, speech, windows, block):
+    def test_clip_is_cut_at_multiples_of_every_window(self, speech, windows, block):
         x = speech(3.0).samples
-        calls = record_split(monkeypatch, 3)
-        levels = lyapunov_windows(x, windows)
-        [(count, cells, ranges)] = calls
+        with record_split(3) as calls:
+            levels = lyapunov_windows(x, windows)
+        [(count, ranges)] = calls
         # whole blocks of `block` samples, a third of them per CPU
-        assert (count, cells) == (x.size // block, x.size)
+        assert count == x.size // block
         assert sorted(ranges) == [(0, count // 3), (count // 3, 2 * count // 3), (2 * count // 3, count)]
         # the last range runs to the clip's end: at 1024 the 640-sample tail
         # holds the last segments at w <= 512
@@ -351,21 +330,37 @@ class TestLyapunovKernel:
             assert not degenerate.any()
         assert tail[64][0].size == (10 if block == 1024 else 0)
 
-    def test_windows_with_a_common_block_past_the_clip_run_as_one_range(self, monkeypatch, speech):
+    def test_windows_with_a_common_block_past_the_clip_run_as_one_range(self, speech):
         x = speech(1.0).samples
-        calls = record_split(monkeypatch, 3)
-        levels = lyapunov_windows(x, (1021, 1031))
-        assert calls == [(0, x.size, [(0, 0)])]  # lcm 1052651
+        with record_split(3) as calls:
+            levels = lyapunov_windows(x, (1021, 1031))
+        assert calls == [(0, [(0, 0)])]  # lcm 1052651
         assert [values.size for values, _ in levels.values()] == [47, 46]
         assert np.all(levels[1021][0] != 0) and np.all(levels[1031][0] != 0)
 
-    def test_clip_split_changes_no_bit(self, monkeypatch, speech):
+    @pytest.mark.parametrize("window", [4801, 10**30])
+    def test_window_longer_than_the_clip_is_not_searched(self, monkeypatch, speech, window):
+        x = speech(0.1).samples  # 4800 samples
+        searched, search = [], nld._nearest
+
+        def nearest(pts, *args, **kwargs):
+            searched.append(pts.shape[1])
+            return search(pts, *args, **kwargs)
+
+        monkeypatch.setattr(nld, "_nearest", nearest)
+        levels = lyapunov_windows(x, [64, window])
+        assert set(searched) == {62}  # w = 64 only: 62 embedded points
+        empty = (np.empty(0), np.empty(0, dtype=bool))
+        assert_same_levels(levels, {**lyapunov_windows(x, [64]), window: empty})
+        assert levels[window][1].dtype == bool
+
+    def test_clip_split_changes_no_bit(self, speech):
         x = speech(1.0).samples
         levels = {}
         for cpus in (1, 3):
-            calls = record_split(monkeypatch, cpus)
-            levels[cpus] = lyapunov_windows(x, DEFAULT_LYAPUNOV_WINDOWS)
-            assert len(calls[0][2]) == cpus
+            with record_split(cpus) as calls:
+                levels[cpus] = lyapunov_windows(x, DEFAULT_LYAPUNOV_WINDOWS)
+            assert len(calls[0][1]) == cpus
         assert_same_levels(levels[3], levels[1])
 
     def test_kernel_is_loaded_before_any_range_starts(self, monkeypatch, speech):
@@ -373,25 +368,24 @@ class TestLyapunovKernel:
         nld._cdist.cache_clear()
         loaded = []
 
-        def over_segments(count, cells, part):
+        def over_segments(count, part):
             loaded.append(nld._cdist.cache_info().currsize)
-            SPLIT(count, cells, part)
+            SPLIT(count, part)
 
         monkeypatch.setattr(nld, "_over_segments", over_segments)
         lyapunov_windows(speech(1.0).samples, DEFAULT_LYAPUNOV_WINDOWS)
         assert loaded == [1]
 
-    def test_error_in_a_later_range_reaches_the_caller(self, monkeypatch, speech):
+    def test_error_in_a_later_range_reaches_the_caller(self, speech):
         # the first half 2**20 below a peak of about 1.7e308; in the second
         # some neighbor distances exceed the largest float
         wf = speech(1.0)
         x = wf.samples / np.abs(wf.samples).max() * 1.7e308
         x[: x.size // 2] *= 2.0**-20
-        calls = record_split(monkeypatch, 2)
-        with pytest.raises(InvalidArgumentError, match="neighbor distances"):
+        with record_split(2) as calls, pytest.raises(InvalidArgumentError, match="neighbor distances"):
             lyapunov_windows(x, DEFAULT_LYAPUNOV_WINDOWS)
         # 46 blocks: the first range, samples [0, 23552), returned; the second raised
-        assert calls == [(46, x.size, [(0, 23)])]
+        assert calls == [(46, [(0, 23)])]
         lyapunov_windows(x[:23552], DEFAULT_LYAPUNOV_WINDOWS)  # its samples alone raise nothing
 
     def test_degenerate_cases(self):
@@ -631,12 +625,13 @@ class TestRecurrencePlot:
         rp = recurrence_plot(np.random.default_rng(0).standard_normal(2000), max_size=256)
         assert rp.matrix.shape[0] <= 256
 
-    @given(seed=st.integers(0, 2**16), k=st.sampled_from([-1000, 0, 1000, 1020]))
+    @given(start=st.integers(0, 120000), k=st.sampled_from([-1000, 0, 1000, 1020]))
     @settings(max_examples=25, deadline=None)
-    def test_power_of_two_scale_is_exact(self, seed, k):
+    def test_power_of_two_scale_is_exact(self, speech, start, k):
         """The matrix of 2**k x equals that of x and its threshold is exactly
-        2**k times x's, where the plain mean overflows at k = 1020."""
-        x = synthetic_speech(duration=0.5, seed=seed).samples
+        2**k times x's, where the plain mean overflows at k = 1020; x is 0.5 s
+        of one 3 s clip."""
+        x = speech(3.0).samples[start : start + 24000]
         rp, scaled = recurrence_plot(x), recurrence_plot(np.ldexp(x, k))
         assert np.array_equal(scaled.matrix, rp.matrix)
         assert scaled.threshold == np.ldexp(rp.threshold, k)
@@ -701,10 +696,9 @@ class TestPoincare:
         pytest.param(lambda x: local_lyapunov(x[:1024]), id="local_lyapunov"),
     ],
 )
-def test_non_finite_input_raises(monkeypatch, call, index, value):
+def test_non_finite_input_raises(call, index, value):
     x = np.random.default_rng(0).standard_normal(4096)
     x[index] = value
-    calls = record_split(monkeypatch, 2)
-    with pytest.raises(InvalidArgumentError, match="x has a non-finite entry"):
+    with record_split(2) as calls, pytest.raises(InvalidArgumentError, match="x has a non-finite entry"):
         call(x)
     assert calls == []  # raised before any range of a Lyapunov search started
