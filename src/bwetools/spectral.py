@@ -187,9 +187,11 @@ def phase_from_ri(real_part: np.ndarray, imag_part: np.ndarray) -> np.ndarray:
     i = np.asarray(imag_part, dtype=np.float64)
     if r.shape != i.shape:
         raise InvalidArgumentError(f"shape mismatch {r.shape} vs {i.shape}")
-    phase = np.arctan2(i, r)
+    phase = np.asarray(np.arctan2(i, r))  # an array for 0-d input too
     # the -pi branch (atan2 of a negative-zero imaginary part) maps to +pi
-    return np.where((r == 0) & (i == 0), 0.0, np.where(phase <= -np.pi, np.pi, phase))
+    np.copyto(phase, np.pi, where=phase <= -np.pi)
+    np.copyto(phase, 0.0, where=(r == 0) & (i == 0))
+    return phase
 
 
 def synthesize(mp: MagPhase) -> ComplexSpectrogram:

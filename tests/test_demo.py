@@ -1,14 +1,18 @@
-"""demo.synthetic_speech: pinned output bytes at any CPU count, and its
-argument checks."""
+"""demo.synthetic_speech: pinned output bytes at any CPU count, equal to the
+whole-clip reference at any block boundary, its memory bound, and its argument
+checks."""
 
 import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from bwetools import demo
 from bwetools.demo import synthetic_speech
 from bwetools.errors import InvalidArgumentError
+from bwetools.signal import Waveform
 from conftest import record_split
 
 # sha256 of synthetic_speech(duration, rate, seed).samples, taken from the
@@ -54,6 +58,75 @@ def test_harmonics_split_into_one_range_per_cpu():
         (2, [(0, 1), (1, 2)]),
         (1, [(0, 1)]),
     ]
+
+
+def reference_speech(duration, rate, seed):
+    """The whole-clip body synthetic_speech had before it worked in blocks,
+    with the harmonics summed serially."""
+    rng = np.random.default_rng(seed)
+    n = int(round(duration * rate))
+    t = np.arange(n) / rate
+
+    f0 = 115.0 + 25.0 * np.sin(2.0 * np.pi * 0.6 * t + 1.0)
+    phase = 2.0 * np.pi * np.cumsum(f0) / rate
+    voiced = np.zeros(n)
+    scratch = np.empty(n)
+    max_harmonic = int(rate / 2 / (f0.max() + 1))
+    offsets = rng.uniform(0, 2 * np.pi, max_harmonic)
+    for h, offset in enumerate(offsets, 1):
+        np.multiply(h, phase, out=scratch)
+        scratch += offset
+        np.sin(scratch, out=scratch)
+        scratch /= h
+        voiced += scratch
+
+    syllables = 0.55 + 0.45 * np.sin(2.0 * np.pi * 3.5 * t + rng.uniform(0, 2 * np.pi))
+    voiced *= syllables
+
+    noise = rng.standard_normal(n)
+    gate = (np.sin(2.0 * np.pi * 1.3 * t + 2.0) > 0.3).astype(float)
+    out = voiced + 0.15 * noise * gate + 0.01 * noise
+
+    return Waveform(out / np.abs(out).max(), rate)
+
+
+B = demo._BLOCK
+# 16 kHz keeps the harmonic loop short; 3B + 5 samples split over 2 or 3 CPUs
+# into ranges that start off the block grid
+REFERENCE_CASES = [(m / 16000, 16000, m % 7) for m in (1, B - 1, B, B + 1, 2 * B + 3, 3 * B + 5)]
+
+
+@pytest.fixture(scope="module")
+def reference_bytes():
+    return {args: reference_speech(*args).samples.tobytes() for args in REFERENCE_CASES}
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_blocks_match_the_whole_clip_reference(cpus, reference_bytes):
+    with record_split(cpus) as calls:
+        for args in REFERENCE_CASES:
+            assert synthetic_speech(*args).samples.tobytes() == reference_bytes[args], args
+    assert len(calls[-1][1]) == cpus
+    if cpus > 1:  # the premise: some range of the last clip starts inside a block
+        assert any(lo % B for lo, _ in calls[-1][1])
+
+
+def test_scratch_does_not_grow_with_the_clip():
+    # numpy reports its allocations to tracemalloc; beyond the returned
+    # samples, the traced peak is a block's scratch (at most ten float64
+    # arrays of B) per CPU at any length
+    cpus, block_scratch = 2, 10 * 8 * B
+    excess = []
+    with record_split(cpus):
+        for duration in (1.0, 4.0):
+            tracemalloc.start()
+            try:
+                samples = synthetic_speech(duration, 48000).samples
+                excess.append(tracemalloc.get_traced_memory()[1] - samples.nbytes)
+            finally:
+                tracemalloc.stop()
+    assert excess[1] - excess[0] <= cpus * block_scratch
+    assert max(excess) <= cpus * block_scratch
 
 
 @pytest.mark.parametrize(

@@ -289,6 +289,20 @@ class TestPhaseFromRI:
             phase_from_ri(k * r, k * i), phase_from_ri(r, i), rtol=0, atol=1e-12
         )
 
+    def test_bytes_match_nested_where(self):
+        def reference(r, i):
+            phase = np.arctan2(i, r)
+            return np.where((r == 0) & (i == 0), 0.0, np.where(phase <= -np.pi, np.pi, phase))
+
+        edge = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 2.2e-308, -1e-300, np.inf, -np.inf]
+        r, i = (a.ravel() for a in np.meshgrid(edge, edge))
+        rng = np.random.default_rng(3)
+        grids = [(r, i), (np.array([-1.0, -2.5]), np.array([-1e-300, -1e-300]))]
+        grids += [tuple(rng.standard_normal((2, 257, 33)) * 10.0 ** rng.integers(-300, 300))]
+        grids += [(np.array(-1.0), np.array(-0.0))]  # 0-d
+        for r, i in grids:
+            assert phase_from_ri(r, i).tobytes() == reference(r, i).tobytes()
+
     def test_range(self):
         rng = np.random.default_rng(2)
         r = rng.standard_normal(10000)
