@@ -22,7 +22,6 @@ __all__ = [
     "PoincareDescriptors",
     "RecurrencePlot",
     "delay_embed",
-    "lyapunov_exponents",
     "lyapunov_windows",
     "local_lyapunov",
     "dfa_fluctuation",
@@ -256,26 +255,13 @@ def _rates(y: np.ndarray, exponent, n: int, delta: int, theiler: int, nn: np.nda
     return _finite(rates, "the array of divergence rates").mean(axis=1)
 
 
-def lyapunov_exponents(segments, p: EmbeddingParams | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Local Lyapunov exponents of equal-length segments, one per row: the
-    `lyapunov_windows` entry of the rows laid end to end, at the row length.
-    A row too short for the embedding raises InvalidArgumentError."""
-    p = p or EmbeddingParams()
-    segments = np.asarray(segments, dtype=np.float64)
-    if segments.ndim != 2:
-        raise InvalidArgumentError("segments must be a (count, length) array")
-    length = segments.shape[1]
-    _horizon(length, p)  # a row too short raises here, not as an empty window
-    return lyapunov_windows(segments.ravel(), [length], p)[length]
-
-
 def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
     """Local Lyapunov exponents of x cut into non-overlapping windows, per size.
 
     Returns {window: (values, degenerate)} in ascending window order, one
-    entry per whole segment of w samples; a window too short for the
-    embedding, or longer than the clip, gets empty arrays and is never
-    searched. Windows must be distinct integers >= 1.
+    entry per whole segment of w samples (one, x itself, at w = x.size); a
+    window too short for the embedding, or longer than the clip, gets empty
+    arrays and is never searched. Windows must be distinct integers >= 1.
 
     Per segment: for each embedded point j (with j+delta valid) the nearest
     neighbor j' outside the Theiler window |j - j'| <= theiler is found by
@@ -348,8 +334,13 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
 
 
 def local_lyapunov(segment, p: EmbeddingParams | None = None) -> LyapunovEstimate:
-    """`lyapunov_exponents` of one segment."""
-    values, degenerate = lyapunov_exponents(np.asarray(segment, dtype=np.float64).reshape(1, -1), p)
+    """The `lyapunov_windows` entry of one whole segment. A segment too short
+    for the embedding raises InvalidArgumentError. Kept only while the
+    benchmark's tracer wraps it by name, until ROADMAP item 18."""
+    p = p or EmbeddingParams()
+    x = np.asarray(segment, dtype=np.float64).ravel()
+    _horizon(x.size, p)  # too short raises here, not as an empty window
+    values, degenerate = lyapunov_windows(x, [x.size], p)[x.size]
     return LyapunovEstimate(float(values[0]), bool(degenerate[0]))
 
 
@@ -406,14 +397,15 @@ def dfa_exponent(x, scales) -> float:
 
 
 def recurrence_plot(x, max_size: int = 512) -> RecurrencePlot:
-    """Thresholded distance matrix: R[i,j] = 1 iff |x[i]-x[j]| < mean distance.
+    """Thresholded distance matrix: R[i,j] = 1 iff |x[i]-x[j]| is below the
+    mean distance or is exactly 0, so a constant series recurs everywhere.
 
     Sequences longer than max_size (an integer >= 2) are decimated by a
     uniform stride first. The threshold is the mean of the strict upper
-    triangle; the diagonal is forced to 1. Distances are evaluated scaled by
-    the power of two from the peak, so the matrix does not depend on 2**k
-    scaling and the threshold scales exactly; one too large for a float,
-    or a non-finite sample, raises InvalidArgumentError.
+    triangle. Distances are evaluated scaled by the power of two from the
+    peak, so the matrix does not depend on 2**k scaling and the threshold
+    scales exactly; one too large for a float, or a non-finite sample,
+    raises InvalidArgumentError.
     """
     x = _finite(np.asarray(x, dtype=np.float64), "x")
     if x.size < 2:
@@ -425,8 +417,7 @@ def recurrence_plot(x, max_size: int = 512) -> RecurrencePlot:
     x, exponent = unit_peak(x)
     dist = np.abs(x[:, None] - x[None, :])
     threshold = float(np.mean(dist[np.triu_indices(x.size, k=1)]))
-    matrix = (dist < threshold).astype(np.uint8)
-    np.fill_diagonal(matrix, 1)
+    matrix = ((dist < threshold) | (dist == 0)).astype(np.uint8)
     return RecurrencePlot(matrix, _unscale(threshold, exponent, "the recurrence threshold"))
 
 

@@ -41,6 +41,13 @@ def logistic_orbit(n, x0=0.37):
     return x
 
 
+def one_segment_lyapunov(x, p):
+    """(value, degenerate) of the array x as one segment: its
+    `lyapunov_windows` entry at the one window x.size."""
+    values, degenerate = nld.lyapunov_windows(x, [x.size], p)[x.size]
+    return values[0], degenerate[0]
+
+
 @contextlib.contextmanager
 def record_split(cpus):
     """Within the block, this process may use `cpus` CPUs, and every

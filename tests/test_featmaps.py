@@ -12,8 +12,8 @@ from bwetools.featmaps import (
     msdfa_features,
     resolution_params,
 )
-from bwetools.nld import dfa_exponent, dfa_fluctuation, lyapunov_exponents
-from bwetools.signal import Waveform, frame
+from bwetools.nld import dfa_exponent, dfa_fluctuation, lyapunov_windows
+from bwetools.signal import Waveform
 from bwetools.spectral import EPS_MAG, StftConfig, stft, to_mag_phase
 from conftest import logistic_orbit
 
@@ -66,9 +66,10 @@ class TestMrld:
         n = 5120
         chaotic = Waveform(logistic_orbit(n) * 2 - 1, 48000)
         noisy = noise_wave(n, seed=3)
+        chaotic_levels = lyapunov_windows(chaotic.samples, DEFAULT_LYAPUNOV_WINDOWS)
+        noisy_levels = lyapunov_windows(noisy.samples, DEFAULT_LYAPUNOV_WINDOWS)
         for w in DEFAULT_LYAPUNOV_WINDOWS:
-            a = lyapunov_exponents(frame(chaotic, w, w))[0]
-            b = lyapunov_exponents(frame(noisy, w, w))[0]
+            a, b = chaotic_levels[w][0], noisy_levels[w][0]
             pooled = np.sqrt((a.std() ** 2 + b.std() ** 2) / 2)
             assert abs(a.mean() - b.mean()) > 3 * pooled
 

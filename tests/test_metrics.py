@@ -132,6 +132,24 @@ class TestSiMetrics:
         assert si_snr(ref, scaled_est) == si_snr(ref, est)
         assert si_sdr(Waveform(scale * r, 16000), est) == si_sdr(ref, est)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        noise=st.floats(min_value=1e-4, max_value=10.0),
+        k=st.integers(-600, 600),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_power_of_two_scale_is_exact(self, seed, noise, k):
+        """Scaling ref or est by 2**k rounds no sample, so both metrics
+        return the identical float."""
+        rng = np.random.default_rng(seed)
+        r = rng.standard_normal(2000)
+        e = r + noise * rng.standard_normal(2000)
+        ref, est = Waveform(r, 16000), Waveform(e, 16000)
+        scaled_ref, scaled_est = Waveform(np.ldexp(r, k), 16000), Waveform(np.ldexp(e, k), 16000)
+        for metric in (si_sdr, si_snr):
+            assert metric(ref, scaled_est) == metric(ref, est)
+            assert metric(scaled_ref, est) == metric(ref, est)
+
 
 class TestStoi:
     def test_identical(self, speech_clip):

@@ -18,13 +18,12 @@ from bwetools.nld import (
     dfa_exponent,
     dfa_fluctuation,
     local_lyapunov,
-    lyapunov_exponents,
     lyapunov_windows,
     poincare_sd,
     recurrence_plot,
 )
 from bwetools.signal import Waveform, frame, load_wav, save_wav, unit_peak
-from conftest import SPLIT, logistic_orbit, record_split
+from conftest import SPLIT, logistic_orbit, one_segment_lyapunov, record_split
 
 SCALES = (100, 200, 300, 500, 600)
 # one range on the calling thread, and three uneven ones wherever the clip
@@ -82,32 +81,37 @@ class TestDelayEmbed:
 
 
 class TestLocalLyapunov:
+    """The estimator on one segment, through `lyapunov_windows`; only
+    test_too_short checks `local_lyapunov` itself, whose other contract
+    tests are the dense-reference and non-finite-input ones."""
+
     def test_constant_segment_is_zero(self):
-        est = local_lyapunov(np.ones(128), EmbeddingParams(d=2, tau=1, delta=1))
-        assert est.value == 0.0
+        value, _ = one_segment_lyapunov(np.ones(128), EmbeddingParams(d=2, tau=1, delta=1))
+        assert value == 0.0
 
     def test_logistic_map_ln2(self):
         x = logistic_orbit(4096)
         p = EmbeddingParams(d=1, tau=1, delta=1, eps=1e-8, theiler=1)
-        est = local_lyapunov(x, p)
-        assert abs(est.value - np.log(2)) < 0.1 * np.log(2)
+        value, _ = one_segment_lyapunov(x, p)
+        assert abs(value - np.log(2)) < 0.1 * np.log(2)
 
     def test_sine_is_near_zero(self):
         x = np.sin(2 * np.pi * np.arange(2048) / 64)
-        est = local_lyapunov(x, EmbeddingParams(d=3, tau=1))
-        assert abs(est.value) < 0.05
+        value, _ = one_segment_lyapunov(x, EmbeddingParams(d=3, tau=1))
+        assert abs(value) < 0.05
 
     def test_scale_invariance(self):
         x = logistic_orbit(1024)
         p = EmbeddingParams(d=2, tau=1, delta=4, eps=1e-12)
-        base = local_lyapunov(x, p).value
+        base, _ = one_segment_lyapunov(x, p)
         for c in (0.5, 2.0):
-            assert abs(local_lyapunov(c * x, p).value - base) < 1e-3
+            assert abs(one_segment_lyapunov(c * x, p)[0] - base) < 1e-3
 
     def test_degenerate_flag(self):
         # theiler window excludes every candidate neighbor
-        est = local_lyapunov(np.sin(np.arange(12.0)), EmbeddingParams(d=1, tau=1, delta=1, theiler=50))
-        assert est.degenerate and est.value == 0.0
+        p = EmbeddingParams(d=1, tau=1, delta=1, theiler=50)
+        value, degenerate = one_segment_lyapunov(np.sin(np.arange(12.0)), p)
+        assert degenerate and value == 0.0
 
     def test_too_short(self):
         with pytest.raises(InvalidArgumentError):
@@ -194,9 +198,10 @@ class TestLyapunovKernel:
         expected = [reference_lyapunov(seg, p) for seg in segments]
         for cpus in SPLIT_CPUS:
             with record_split(cpus):
-                values, degenerate = lyapunov_exponents(segments, p)
+                values, degenerate = lyapunov_windows(segments.ravel(), [length], p)[length]
             assert values.tolist() == [v for v, _ in expected]
             assert degenerate.tolist() == [flag for _, flag in expected]
+        # local_lyapunov's contract: each segment's one-segment entry
         for seg, (value, flag) in zip(segments, expected):
             est = local_lyapunov(seg, p)
             assert est.value == value and est.degenerate == flag
@@ -391,21 +396,20 @@ class TestLyapunovKernel:
     def test_degenerate_cases(self):
         p = EmbeddingParams(d=2, tau=1, delta=1, theiler=0)
         # n_valid = 1 < 2
-        values, degenerate = lyapunov_exponents(np.ones((2, 3)), p)
+        values, degenerate = lyapunov_windows(np.ones(6), [3], p)[3]
         assert degenerate.all() and np.all(values == 0.0)
         # theiler >= n_valid masks every pair
         p = EmbeddingParams(d=2, tau=1, delta=1, theiler=9)
-        values, degenerate = lyapunov_exponents(np.sin(np.arange(24.0)).reshape(2, 12), p)
+        values, degenerate = lyapunov_windows(np.sin(np.arange(24.0)), [12], p)[12]
         assert degenerate.all() and np.all(values == 0.0)
         # no segments at all
-        values, degenerate = lyapunov_exponents(np.empty((0, 64)), EmbeddingParams())
+        values, degenerate = lyapunov_windows(np.empty(0), [64], EmbeddingParams())[64]
         assert values.shape == degenerate.shape == (0,)
 
     def test_bad_shapes_raise(self):
-        with pytest.raises(InvalidArgumentError):
-            lyapunov_exponents(np.ones((3, 4)), EmbeddingParams(d=3, tau=2, delta=2))
-        with pytest.raises(InvalidArgumentError):
-            lyapunov_exponents(np.ones(64))
+        for x in (np.ones((3, 4)), np.ones((1, 64)), np.float64(1.0)):
+            with pytest.raises(InvalidArgumentError, match="one-dimensional"):
+                lyapunov_windows(x, [4])
 
     def test_overflowing_distance_raises(self, speech):
         # at a peak of about 1.7e308 some neighbor distances exceed the largest
@@ -413,7 +417,7 @@ class TestLyapunovKernel:
         wf = speech(0.5)
         loud = Waveform(wf.samples / np.abs(wf.samples).max() * 1.7e308, wf.rate)
         calls = [
-            lambda: lyapunov_exponents(frame(loud, 64, 64)),
+            lambda: lyapunov_windows(loud.samples, [64]),
             lambda: lyapunov_windows(loud.samples, DEFAULT_LYAPUNOV_WINDOWS),
             lambda: mrld_features(loud),
         ]
@@ -430,7 +434,7 @@ class TestLyapunovKernel:
             with pytest.raises(InvalidArgumentError, match="divergence rates"):
                 lyapunov_windows(loud, (64, 128, 256), EmbeddingParams(d=d))
         with pytest.raises(InvalidArgumentError, match="divergence rates"):
-            lyapunov_exponents(loud.reshape(-1, 64), EmbeddingParams(d=1))
+            lyapunov_windows(loud, [64], EmbeddingParams(d=1))
 
     @pytest.mark.parametrize("encoding", ["float32", "pcm16"])
     def test_mrld_matches_reference_on_speech(self, tmp_path, speech, encoding):
@@ -442,7 +446,7 @@ class TestLyapunovKernel:
         stack = mrld_features(wf)
         for c, w in enumerate(DEFAULT_LYAPUNOV_WINDOWS):
             expected = np.array([reference_lyapunov(seg, p)[0] for seg in frame(wf, w, w)])
-            assert np.array_equal(lyapunov_exponents(frame(wf, w, w), p)[0], expected)
+            assert np.array_equal(lyapunov_windows(wf.samples, [w], p)[w][0], expected)
             z = (expected - expected.mean()) / expected.std()
             assert np.array_equal(stack.data[c, 0, : expected.size], z)
 
@@ -598,13 +602,16 @@ class TestDfa:
 
 
 class TestRecurrencePlot:
-    def test_constant_sequence_identity(self):
-        rp = recurrence_plot(np.full(8, 2.0))
-        np.testing.assert_array_equal(rp.matrix, np.eye(8, dtype=np.uint8))
+    def test_constant_sequence_recurs_everywhere(self):
+        # every distance is exactly 0, the threshold too, and every pair recurs
+        for x in (np.full(8, 2.0), np.zeros(8)):
+            rp = recurrence_plot(x)
+            assert rp.threshold == 0.0
+            np.testing.assert_array_equal(rp.matrix, np.ones((8, 8), dtype=np.uint8))
 
     def test_two_points(self):
         # single off-diagonal distance 1.0 becomes the threshold; the strict
-        # comparison leaves only the forced diagonal
+        # comparison leaves only the diagonal's zero distances
         rp = recurrence_plot(np.array([0.0, 1.0]))
         assert rp.threshold == 1.0
         np.testing.assert_array_equal(rp.matrix, np.eye(2, dtype=np.uint8))
