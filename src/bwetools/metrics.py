@@ -168,12 +168,15 @@ def _third_octave_bands(rate: int, n_fft: int, n_bands: int, first_center: float
 def stoi(ref: Waveform, est: Waveform) -> float:
     """Short-time objective intelligibility in [0, 1].
 
-    Both signals are resampled to 10 kHz; frames more than 40 dB below the
-    loudest reference frame are dropped from both; one-third-octave band
-    envelopes over 30-frame segments are compared by normalized correlation
-    after scaling and clipping the estimate at the -15 dB SDR bound. Bands
-    where either envelope is flat over a segment give no correlation; when
-    none is left (e.g. an all-zero estimate) the score is 0.0.
+    Both signals are cut to their common length and resampled to 10 kHz;
+    frames more than 40 dB below the loudest reference frame are dropped from
+    both; one-third-octave band envelopes over 30-frame segments are compared
+    by normalized correlation after scaling and clipping the estimate at the
+    -15 dB SDR bound. Bands where either envelope is flat over a segment give
+    no correlation; when none is left (e.g. an all-zero estimate) the score is
+    0.0. One segment needs (30 - 1) * 256 + 512 = 7,936 active samples at
+    10 kHz (about 0.79 s); fewer raise InvalidArgumentError, as a silent
+    reference does.
 
     Each signal is first scaled by a power of two to a peak in [0.5, 1), so
     scaling either input by 2**k gives exactly the same score, and the two
@@ -181,18 +184,12 @@ def stoi(ref: Waveform, est: Waveform) -> float:
     denominator) act on those peak-normalised signals. Both signals' power
     spectra come a block of frames at a time; no complex grid is built."""
     c = STOI_CONFIG
-    if ref.rate != est.rate:
-        raise InvalidArgumentError(f"rate mismatch: {ref.rate} vs {est.rate}")
+    r, e = _aligned(ref, est)
     if ref.rate < c["rate"]:
         raise InvalidArgumentError(f"stoi needs rate >= {c['rate']} Hz")
-    if min(ref.duration, est.duration) < 0.4:
-        raise InvalidArgumentError("stoi needs at least 0.4 s of audio")
     # each signal's peak scaled into [0.5, 1), so 1e200 or 1e-200 neither
     # overflows nor underflows the band powers
-    x = resample(Waveform(unit_peak(ref.samples)[0], ref.rate), c["rate"]).samples
-    y = resample(Waveform(unit_peak(est.samples)[0], est.rate), c["rate"]).samples
-    n = min(x.size, y.size)
-    x, y = x[:n], y[:n]
+    x, y = (resample(Waveform(unit_peak(s)[0], ref.rate), c["rate"]).samples for s in (r, e))
 
     cfg = StftConfig(n_fft=c["n_fft"], win_length=c["n_fft"], hop=c["hop"], center=False)
     # both signals' (F, T) power grids
@@ -201,13 +198,14 @@ def stoi(ref: Waveform, est: Waveform) -> float:
 
     # energy-based silent-frame removal, synchronized on the reference
     frame_energy = np.sum(power_x, axis=0)
-    peak = frame_energy.max()
-    if peak <= 0:
-        raise InvalidArgumentError("reference contains no energy")
-    keep = frame_energy > peak * 10.0 ** (-c["dyn_range_db"] / 10.0)
-    seg = c["segment_frames"]
-    if np.count_nonzero(keep) < seg:
-        raise InvalidArgumentError("too few active frames for a 30-frame segment")
+    keep = frame_energy > frame_energy.max() * 10.0 ** (-c["dyn_range_db"] / 10.0)
+    seg, active = c["segment_frames"], np.count_nonzero(keep)
+    if active < seg:
+        raise InvalidArgumentError(
+            f"stoi needs {seg} frames within {c['dyn_range_db']:g} dB of the loudest reference frame, "
+            f"({seg} - 1) * {c['hop']} + {c['n_fft']} = {(seg - 1) * c['hop'] + c['n_fft']} active "
+            f"samples at {c['rate']} Hz; {active} of {keep.size} frames are active"
+        )
 
     bands = _third_octave_bands(c["rate"], c["n_fft"], c["n_bands"], c["first_center_hz"])
     env_x = np.sqrt(bands.astype(float) @ power_x[:, keep])

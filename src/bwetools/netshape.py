@@ -143,11 +143,11 @@ def param_count(net: NetDescriptor) -> int:
     return _count(*(layer.shapes() for layer in net.layers))
 
 
-def _dsc_stack(name, dims, in_channels, widths, kernels, strides) -> NetDescriptor:
+def _dsc_stack(name, dims, widths, kernels, strides) -> NetDescriptor:
     if len(widths) != 5:
         raise InvalidArgumentError("expected 5 channel widths")
     layers = []
-    c_in = in_channels
+    c_in = 5  # one channel per featmaps default: five MRLD windows, or five MSDFA scales
     for c_out, k, s in zip(widths, kernels, strides):
         layers.append(
             ConvSpec("depthwise_separable", dims, k, c_in, c_out, stride=s, bias=True)
@@ -158,15 +158,15 @@ def _dsc_stack(name, dims, in_channels, widths, kernels, strides) -> NetDescript
     return NetDescriptor(name, tuple(layers))
 
 
-def build_mrld_cnn(widths=DEFAULT_MRLD_WIDTHS, in_channels: int = 5) -> NetDescriptor:
+def build_mrld_cnn(widths=DEFAULT_MRLD_WIDTHS) -> NetDescriptor:
     """Five depthwise-separable 1-D layers, kernels 5/5/5/5/3, strides
     2/2/2/2/1, batch-norm + leaky ReLU after each."""
-    return _dsc_stack("mrld", 1, in_channels, widths, (5, 5, 5, 5, 3), (2, 2, 2, 2, 1))
+    return _dsc_stack("mrld", 1, widths, (5, 5, 5, 5, 3), (2, 2, 2, 2, 1))
 
 
-def build_msdfa_cnn(widths=DEFAULT_MRLD_WIDTHS, in_channels: int = 5) -> NetDescriptor:
+def build_msdfa_cnn(widths=DEFAULT_MRLD_WIDTHS) -> NetDescriptor:
     """2-D twin of the Lyapunov-map CNN, applied to tiled DFA maps."""
-    return _dsc_stack("msdfa", 2, in_channels, widths, (5, 5, 5, 5, 3), (2, 2, 2, 2, 1))
+    return _dsc_stack("msdfa", 2, widths, (5, 5, 5, 5, 3), (2, 2, 2, 2, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -398,9 +398,11 @@ def generated(kind, size, seed, speech):
 def test_every_command_on_generated_wavs(speech, command, rate, size, kinds, encoding, seed):
     """Each run exits 0, 2 or 3; an exit 3 prints one `error: ` line; a
     features run lists only files it wrote, and its sidecar is its stdout."""
-    if command == ("compare",) and rate >= 10000:
-        # STOI's 30 frames of 512 at hop 256 at 10 kHz take 0.79 s, so compare may exit 0 too
-        size += 4 * rate // 5
+    c = metrics.STOI_CONFIG
+    if command == ("compare",) and rate >= c["rate"]:
+        # one STOI segment of samples at its rate, scaled up to the WAV's, so compare may exit 0 too
+        need = (c["segment_frames"] - 1) * c["hop"] + c["n_fft"]
+        size += -(-need * rate // c["rate"])
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         paths = [tmp / "reference.wav", tmp / "estimate.wav"]

@@ -201,17 +201,46 @@ class TestStoi:
         with pytest.raises(InvalidArgumentError):
             stoi(short, short)
 
+    def test_needs_one_segment_of_active_samples(self, speech):
+        # (segment_frames - 1) * hop + n_fft samples at 10 kHz make one 30-frame segment
+        c = STOI_CONFIG
+        need = (c["segment_frames"] - 1) * c["hop"] + c["n_fft"]
+        assert need == 7936
+        clip = speech(1.0, c["rate"], 0).samples
+        ok = Waveform(clip[:need], c["rate"])
+        assert 0.0 <= stoi(ok, ok) <= 1.0
+        short = Waveform(clip[: need - 1], c["rate"])
+        with pytest.raises(InvalidArgumentError, match=r"7936 active samples .* 29 of 29 frames"):
+            stoi(short, short)
+
+    def test_silent_reference_has_no_active_frame(self, speech):
+        est = speech(1.0, 16000, 2)
+        silent = Waveform(np.zeros(len(est)), est.rate)
+        with pytest.raises(InvalidArgumentError, match=r"7936 active samples .* 0 of \d+ frames"):
+            stoi(silent, est)
+
+    @given(seed=st.integers(0, 2**16), cut=st.integers(1, 4000))
+    @settings(max_examples=5, deadline=None)
+    def test_unequal_lengths_score_the_common_prefix(self, speech, seed, cut):
+        ref = speech(1.0, 16000, 5)
+        for n in (len(ref) - cut, len(ref) + cut):
+            noise = 0.1 * np.random.default_rng(seed).standard_normal(n)
+            est = Waveform(np.resize(ref.samples, n) + noise, ref.rate)
+            m = min(len(ref), n)
+            prefix = stoi(Waveform(ref.samples[:m], ref.rate), Waveform(est.samples[:m], ref.rate))
+            assert stoi(ref, est) == prefix
+
 
 def reference_stoi(ref, est):
     """Per-segment STOI loop the vectorised `stoi` must match bit for bit
     (preconditions left to `stoi`)."""
     c = STOI_CONFIG
-    x = resample(ref, c["rate"]).samples
-    y = resample(est, c["rate"]).samples
-    n = min(x.size, y.size)
+    n = min(len(ref), len(est))
+    x = resample(Waveform(ref.samples[:n], ref.rate), c["rate"])
+    y = resample(Waveform(est.samples[:n], est.rate), c["rate"])
     cfg = StftConfig(n_fft=c["n_fft"], win_length=c["n_fft"], hop=c["hop"], center=False)
-    spec_x = reference_stft(Waveform(x[:n], c["rate"]), cfg)
-    spec_y = reference_stft(Waveform(y[:n], c["rate"]), cfg)
+    spec_x = reference_stft(x, cfg)
+    spec_y = reference_stft(y, cfg)
     frame_energy = np.sum(np.abs(spec_x) ** 2, axis=0)
     keep = frame_energy > frame_energy.max() * 10.0 ** (-c["dyn_range_db"] / 10.0)
     bands = _third_octave_bands(c["rate"], c["n_fft"], c["n_bands"], c["first_center_hz"])
