@@ -14,14 +14,10 @@ import math
 import numpy as np
 
 from .errors import InvalidArgumentError, _size
-from .nld import _over_segments
+from .nld import _BLOCK, _over_segments
 from .signal import Waveform
 
 __all__ = ["synthetic_speech"]
-
-# samples per block: a block's scratch, about seven float64 arrays (1.8 MB),
-# fits a 2 MB per-core L2 cache
-_BLOCK = 1 << 15
 
 
 def synthetic_speech(duration: float = 3.0, rate: int = 48000, seed: int = 0) -> Waveform:

@@ -14,7 +14,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidArgumentError, _finite, _size, _size_fields, _sizes
-from .signal import unit_peak
+from .signal import _peak_exponent, unit_peak
 
 __all__ = [
     "EmbeddingParams",
@@ -100,6 +100,11 @@ def delay_embed(x, d: int, tau: int) -> np.ndarray:
 _SHARED_SCALE_FLOOR = 2.0**-459
 
 
+def _on_shared_scale(z: np.ndarray) -> bool:
+    """Whether every sample of z is 0 or at least _SHARED_SCALE_FLOOR in magnitude."""
+    return bool(np.all((z == 0) | (np.abs(z) >= _SHARED_SCALE_FLOOR)))
+
+
 def _horizon(length: int, p: EmbeddingParams) -> tuple[int, int, int]:
     """(n, delta, theiler) for segments of `length` samples, n being the number
     of embedded points whose future at +delta exists."""
@@ -122,6 +127,13 @@ def _band(rows: int, cols: int, lo: int, hi: int) -> np.ndarray:
         for k in range(max(lo, 1 - rows), min(hi, cols - 1) + 1)
     ]
     return np.concatenate(diagonals) if diagonals else np.empty(0, dtype=np.intp)
+
+
+# samples per cache-sized piece of a clip, for both walks over `_over_segments`:
+# `lyapunov_windows` runs groups of whole lcm blocks that hold this many, and
+# `demo.synthetic_speech` fills blocks of this many, whose scratch, about
+# seven float64 arrays (1.8 MB), fits a 2 MB per-core L2 cache
+_BLOCK = 1 << 15
 
 
 def _over_segments(count: int, part) -> None:
@@ -282,20 +294,33 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
     large for a float raises InvalidArgumentError.
 
     The clip is cut into ranges of whole blocks of lcm(windows) samples, the
-    last range taking the tail, and each range runs every window over its own
-    samples: one range per CPU in `os.sched_getaffinity` but at most one per
-    block, the first on the calling thread. A segment and the halves it is
-    built from never straddle a cut, so the results do not depend on the
-    split. A non-finite sample raises InvalidArgumentError before any range
-    starts.
+    last range taking the tail: one range per CPU in `os.sched_getaffinity`
+    but at most one per block, the first on the calling thread. Each range
+    runs every window over one group of its samples at a time, a group being
+    the fewest whole blocks that hold `_BLOCK` (2**15) samples, and the last
+    group of the last range taking the tail. A segment and the halves it is
+    built from never straddle a cut, so the results depend on neither split,
+    and memory beyond the outputs is one group's scratch per CPU, whatever
+    the clip's length. At the default windows that floor is the w = 1024
+    search block, 448 x 894 doubles (3.2 MB), plus the 1.6 MB copy its
+    column minima are taken from. A non-finite sample raises
+    InvalidArgumentError before any range starts.
     """
     p = p or EmbeddingParams()
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise InvalidArgumentError("x must be one-dimensional")
-    z, exponent = unit_peak(_finite(x, "x"))
-    shared = bool(np.all((z == 0) | (np.abs(z) >= _SHARED_SCALE_FLOOR)))
     windows = _sizes(windows, "window sizes")
+    exponent = _peak_exponent(x)
+
+    def scaled(start, stop):
+        """x[start:stop] at the clip's unit peak: unit_peak(x)[0][start:stop]
+        bit for bit, as np.ldexp is exact."""
+        return np.ldexp(x[start:stop], -exponent)
+
+    # both tests on every piece of the scaled clip, _BLOCK samples at a time
+    pieces = range(0, x.size, _BLOCK)
+    shared = all([_on_shared_scale(_finite(scaled(s, s + _BLOCK), "x")) for s in pieces])
     out, searches = {}, {}
     for w in windows:
         try:
@@ -309,23 +334,29 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
             searches[w] = n, delta, theiler
     block = math.lcm(*windows)
     blocks = x.size // block
+    group = -(-_BLOCK // block)  # blocks per group
 
-    def chain(lo, hi):
-        start, stop = lo * block, hi * block if hi < blocks else x.size
+    def run(start, stop):
+        z = scaled(start, stop) if shared else x[start:stop]
         searched = None  # (window, distances, neighbors) on the clip scale
         for w, (n, delta, theiler) in searches.items():
             first, count = start // w, (stop - start) // w
-            if shared:
-                scaled, scale = z[start : start + count * w].reshape(count, w), exponent
-            else:  # each segment on its own scale, searched alone
-                scaled, scale = unit_peak(x[start : start + count * w].reshape(count, w), axis=1)
-            pts = delay_embed(scaled, p.d, p.tau)
+            segments, scale = z[: count * w].reshape(count, w), exponent
+            if not shared:  # each segment on its own scale, searched alone
+                segments, scale = unit_peak(segments, axis=1)
+            pts = delay_embed(segments, p.d, p.tau)
             if shared and searched is not None and 2 * searched[0] == w:
                 searched = (w, *_nearest_from_halves(pts, n, theiler, *searched[1:]))
             else:
                 searched = (w, *_nearest(pts, 0, n, theiler)[:2])
             out[w][0][first : first + count] = _rates(pts, scale, n, delta, theiler, searched[2], p.eps)
             del pts  # not held while the next window is embedded
+
+    def chain(lo, hi):
+        # blocks == 0 calls chain(0, 0): the whole clip is one group
+        for g in range(lo, max(hi, lo + 1), group):
+            end = min(g + group, hi)
+            run(g * block, end * block if end < blocks else x.size)
 
     if searches:  # the kernel is loaded here, not by two ranges at once
         _cdist()

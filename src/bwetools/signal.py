@@ -362,14 +362,17 @@ def frame(wf: Waveform, size: int, hop: int) -> np.ndarray:
     return sliding_window_view(wf.samples, size)[::hop].copy()
 
 
-def unit_peak(x: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, int | np.ndarray]:
-    """(x * 2**-e, e), e being math.frexp's exponent of the peak |x| (0 for
-    all-zero input): a Python int, or per slice along `axis` when given, with
-    the reduced axis kept. Each peak lands in [0.5, 1) exactly, so 1e200- or
-    1e-200-sized input neither overflows nor underflows downstream, and
-    in-range results are unchanged."""
+def _peak_exponent(x: np.ndarray, axis: int | None = None) -> int | np.ndarray:
+    """math.frexp's exponent of the peak |x| (0 for all-zero input): a Python
+    int, or per slice along `axis` when given, with the reduced axis kept."""
     kw = dict(axis=axis, keepdims=True, initial=0.0)
     e = np.frexp(np.maximum(x.max(**kw), -x.min(**kw)))[1]
-    if axis is None:
-        e = e.item()
+    return e.item() if axis is None else e
+
+
+def unit_peak(x: np.ndarray, axis: int | None = None) -> tuple[np.ndarray, int | np.ndarray]:
+    """(x * 2**-e, e), e being `_peak_exponent(x, axis)`. Each peak lands in
+    [0.5, 1) exactly, so 1e200- or 1e-200-sized input neither overflows nor
+    underflows downstream, and in-range results are unchanged."""
+    e = _peak_exponent(x, axis)
     return np.ldexp(x, -e), e

@@ -151,6 +151,12 @@ class TestSiMetrics:
             assert metric(scaled_ref, est) == metric(ref, est)
 
 
+# one 30-frame STOI segment at its rate, and the longest cut of a 1 s 16 kHz
+# clip whose rest resamples, to ceil(n * rate / 16000) samples, to at least that
+STOI_SEGMENT = (STOI_CONFIG["segment_frames"] - 1) * STOI_CONFIG["hop"] + STOI_CONFIG["n_fft"]
+LONGEST_CUT = 16000 - ((STOI_SEGMENT - 1) * 16000 // STOI_CONFIG["rate"] + 1)
+
+
 class TestStoi:
     def test_identical(self, speech_clip):
         assert stoi(speech_clip, speech_clip) >= 0.999
@@ -219,7 +225,7 @@ class TestStoi:
         with pytest.raises(InvalidArgumentError, match=r"7936 active samples .* 0 of \d+ frames"):
             stoi(silent, est)
 
-    @given(seed=st.integers(0, 2**16), cut=st.integers(1, 4000))
+    @given(seed=st.integers(0, 2**16), cut=st.integers(1, LONGEST_CUT))
     @settings(max_examples=5, deadline=None)
     def test_unequal_lengths_score_the_common_prefix(self, speech, seed, cut):
         ref = speech(1.0, 16000, 5)
@@ -229,6 +235,14 @@ class TestStoi:
             m = min(len(ref), n)
             prefix = stoi(Waveform(ref.samples[:m], ref.rate), Waveform(est.samples[:m], ref.rate))
             assert stoi(ref, est) == prefix
+
+    def test_longest_cut_keeps_one_segment(self, speech):
+        ref = speech(1.0, 16000, 5)
+        assert LONGEST_CUT == 3303
+        assert 0.0 <= stoi(Waveform(ref.samples[: 16000 - LONGEST_CUT], ref.rate), ref) <= 1.0
+        short = Waveform(ref.samples[: 16000 - LONGEST_CUT - 1], ref.rate)
+        with pytest.raises(InvalidArgumentError, match=r"7936 active samples .* 29 of 29 frames"):
+            stoi(ref, short)
 
 
 def reference_stoi(ref, est):

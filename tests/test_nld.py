@@ -1,6 +1,7 @@
 import math
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,14 @@ def assert_same_levels(levels, expected):
     assert list(levels) == list(expected)
     for w, (values, degenerate) in expected.items():
         assert np.array_equal(levels[w][0], values) and np.array_equal(levels[w][1], degenerate)
+
+
+def assert_each_segment_alone(levels, x, p=EmbeddingParams()):
+    """Each window's values and flags are those of its segments, each as the one segment of its own call."""
+    for w, (values, degenerate) in levels.items():
+        expected = [one_segment_lyapunov(seg, p) for seg in x[: x.size // w * w].reshape(-1, w)]
+        assert values.tolist() == [v for v, _ in expected]
+        assert degenerate.tolist() == [flag for _, flag in expected]
 
 
 class TestLyapunovKernel:
@@ -342,6 +351,52 @@ class TestLyapunovKernel:
         assert calls == [(0, [(0, 0)])]  # lcm 1052651
         assert [values.size for values, _ in levels.values()] == [47, 46]
         assert np.all(levels[1021][0] != 0) and np.all(levels[1031][0] != 0)
+
+    @pytest.mark.parametrize("cpus", SPLIT_CPUS)
+    def test_clip_shorter_than_one_block_is_one_group(self, speech, cpus):
+        # lcm(64, 1024) = 1024 > 700: no whole block, so one call chain(0, 0)
+        # runs the whole clip, whose ten 64-sample segments are searched
+        x = speech(1.0).samples[:700]
+        with record_split(cpus) as calls:
+            levels = lyapunov_windows(x, (64, 1024))
+        assert calls == [(0, [(0, 0)])]
+        assert [values.size for values, _ in levels.values()] == [10, 0]
+        assert_each_segment_alone(levels, x)
+
+    @pytest.mark.parametrize("cpus", SPLIT_CPUS)
+    def test_tail_past_the_last_group(self, speech, cpus):
+        # lcm 256: a group is 128 blocks. 129 blocks and a 200-sample tail:
+        # the last group (one block at 1 CPU, 43 at 3) takes the tail, which
+        # holds three segments at w = 64 and one at 128
+        x = speech(1.0).samples[: nld._BLOCK + 256 + 200]
+        with record_split(cpus) as calls:
+            levels = lyapunov_windows(x, (64, 128, 256))
+        assert [count for count, _ in calls] == [129]
+        assert [values.size for values, _ in levels.values()] == [519, 259, 129]
+        assert_each_segment_alone(levels, x)
+
+    def test_scratch_does_not_grow_with_the_clip(self, speech):
+        # numpy reports its allocations to tracemalloc. Beyond the outputs, the
+        # traced peak is one group's scratch per CPU at any length: the w = 1024
+        # search block and the copy its column minima are taken from (4.8 MB),
+        # plus about 2 MB of arrays over the group's 32 blocks. A 1 s clip's two
+        # ranges are 23-block groups, so it reads up to about 0.6 MB per CPU less.
+        cpus, group_scratch = 2, 8e6
+        nld._cdist()  # the kernel's module is loaded once per process, not scratch
+        excess = []
+        with record_split(cpus):
+            for duration in (1.0, 4.0):
+                x, peaks = speech(duration).samples, []
+                for _ in range(2):  # the two ranges' peaks coincide in most calls, not in all
+                    tracemalloc.start()
+                    try:
+                        levels = lyapunov_windows(x, DEFAULT_LYAPUNOV_WINDOWS)
+                        peaks.append(tracemalloc.get_traced_memory()[1])
+                    finally:
+                        tracemalloc.stop()
+                excess.append(max(peaks) - sum(v.nbytes + d.nbytes for v, d in levels.values()))
+        assert excess[1] - excess[0] <= cpus * 1e6
+        assert max(excess) <= cpus * group_scratch
 
     @pytest.mark.parametrize("window", [4801, 10**30])
     def test_window_longer_than_the_clip_is_not_searched(self, monkeypatch, speech, window):
