@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import shutil
 import sys
 from pathlib import Path
 
@@ -86,19 +85,11 @@ def cmd_degrade(args, cfg: dict) -> int:
 
 def _export(out_dir: Path, grids: dict, f32: bool = True) -> list[str]:
     """Write each grid to <name>.csv, then <name>.f32 when f32 is set, in
-    order; a grid object met before is written as a copy of its first
-    files. Returns the CSV file names."""
-    writers = {".csv": bwetools.spectral.write_csv}
-    if f32:
-        writers[".f32"] = bwetools.spectral.write_f32
-    first = {}  # id of each grid -> the name it was first written under
+    order; returns the CSV file names."""
     for name, grid in grids.items():
-        source = first.setdefault(id(grid), name)
-        for ext, write in writers.items():
-            if source == name:
-                write(out_dir / f"{name}{ext}", grid)
-            else:
-                shutil.copyfile(out_dir / f"{source}{ext}", out_dir / f"{name}{ext}")
+        bwetools.spectral.write_csv(out_dir / f"{name}.csv", grid)
+        if f32:
+            bwetools.spectral.write_f32(out_dir / f"{name}.f32", grid)
     return [f"{name}.csv" for name in grids]
 
 

@@ -100,11 +100,6 @@ def delay_embed(x, d: int, tau: int) -> np.ndarray:
 _SHARED_SCALE_FLOOR = 2.0**-459
 
 
-def _on_shared_scale(z: np.ndarray) -> bool:
-    """Whether every sample of z is 0 or at least _SHARED_SCALE_FLOOR in magnitude."""
-    return bool(np.all((z == 0) | (np.abs(z) >= _SHARED_SCALE_FLOOR)))
-
-
 def _horizon(length: int, p: EmbeddingParams) -> tuple[int, int, int]:
     """(n, delta, theiler) for segments of `length` samples, n being the number
     of embedded points whose future at +delta exists."""
@@ -299,12 +294,17 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
     runs every window over one group of its samples at a time, a group being
     the fewest whole blocks that hold `_BLOCK` (2**15) samples, and the last
     group of the last range taking the tail. A segment and the halves it is
-    built from never straddle a cut, so the results depend on neither split,
-    and memory beyond the outputs is one group's scratch per CPU, whatever
-    the clip's length. At the default windows that floor is the w = 1024
-    search block, 448 x 894 doubles (3.2 MB), plus the 1.6 MB copy its
-    column minima are taken from. A non-finite sample raises
-    InvalidArgumentError before any range starts.
+    built from never straddle a cut, so the results depend on neither split.
+    Memory beyond the outputs is one group's scratch per CPU: a group holds
+    max(`_BLOCK`, lcm(windows)) samples, or less than one block more, and
+    the last one also the tail. That is flat in the clip's length only once
+    the clip spans a group: with windows (1021, 1031), lcm 1,052,651, a clip
+    under two blocks is one group and its scratch grows with it. At the
+    default windows (lcm 1024, 32-block groups) it is about 7 MB per CPU at
+    any clip length; its floor is the w = 1024 search block, 448 x 894
+    doubles (3.2 MB), plus the 1.6 MB copy its column minima are taken
+    from. A non-finite sample raises InvalidArgumentError before any range
+    starts.
     """
     p = p or EmbeddingParams()
     x = np.asarray(x, dtype=np.float64)
@@ -319,8 +319,8 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
         return np.ldexp(x[start:stop], -exponent)
 
     # both tests on every piece of the scaled clip, _BLOCK samples at a time
-    pieces = range(0, x.size, _BLOCK)
-    shared = all([_on_shared_scale(_finite(scaled(s, s + _BLOCK), "x")) for s in pieces])
+    pieces = (_finite(scaled(s, s + _BLOCK), "x") for s in range(0, x.size, _BLOCK))
+    shared = all([np.all((z == 0) | (np.abs(z) >= _SHARED_SCALE_FLOOR)) for z in pieces])
     out, searches = {}, {}
     for w in windows:
         try:

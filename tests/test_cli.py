@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bwetools.spectral
 from bwetools import featmaps, metrics, nld
 from bwetools.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXTRACTORS, NETWORKS, main
 from bwetools.demo import synthetic_speech
@@ -93,23 +92,6 @@ class TestFeaturesCommand:
         assert main(["features", str(clip_path), "mrad_mrpd", str(tmp_path / "m")]) == EXIT_OK
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["resolutions"]) == 3
-
-    def test_shared_grid_is_written_once(self, clip_path, tmp_path, capsys, monkeypatch):
-        # resolutions 0 and 2 share one grid: its files are written once, then copied
-        written = []
-        for name in ("write_csv", "write_f32"):
-            def recorded(path, grid, write=getattr(bwetools.spectral, name)):
-                written.append(path.name)
-                write(path, grid)
-
-            monkeypatch.setattr(bwetools.spectral, name, recorded)
-        out = tmp_path / "m"
-        assert main(["features", str(clip_path), "mrad_mrpd", str(out)]) == EXIT_OK
-        files = json.loads(capsys.readouterr().out)["files"]
-        assert len(files) == 6
-        assert len(written) == 8 and not any("res2" in f for f in written)
-        for part in ("mag.csv", "mag.f32", "phase.csv", "phase.f32"):
-            assert (out / f"mrad_mrpd_res2_{part}").read_bytes() == (out / f"mrad_mrpd_res0_{part}").read_bytes()
 
 
 class TestCompareCommand:
