@@ -182,30 +182,51 @@ def _cdist():
     return kernel
 
 
+# distance cells per search tile: 2**17 doubles (1 MB) fit a 2 MB per-core L2
+# cache, and bound `_nearest`'s scratch at any window size
+_TILE = 1 << 17
+
+
 def _nearest(pts, first: int, n: int, theiler: int, columns: int = 0):
     """Exact nearest neighbors in the block of rows [first, n) by columns
     [0, n) of every segment of pts, (count, points, d), outside the Theiler
     window |j - j'| <= theiler: (distance, index) of each row among the
     columns and of each of the first `columns` columns among the rows, as
     point indices, the lowest on ties. A row or column with no pair outside
-    the window gets inf. Segments are searched in turn, on the calling
-    thread, through one scratch block."""
+    the window gets inf. The block is searched in tiles of whole rows, each
+    at most `_TILE` cells (one row if a row is longer) and all but the last
+    of equal height, through one scratch tile on the calling thread. A
+    column's minimum over each tile replaces the one so far only when
+    strictly nearer, so ties keep the lowest index across tiles too."""
     cdist = _cdist()
     count, m = pts.shape[0], n - first
-    band = _band(m, n, first - theiler, first + theiler)
+    tiles = -(-m // max(1, _TILE // n))
+    height = -(-m // tiles)  # rows per tile, evened so no tile is a sliver
     row_d, row_i = np.empty((count, m)), np.empty((count, m), dtype=np.intp)
     col_d, col_i = np.empty((count, columns)), np.empty((count, columns), dtype=np.intp)
-    r, c = np.arange(m), np.arange(columns)
-    block = np.empty((m, n))
-    flat, lead = block.ravel(), block[:, :columns]
-    for s in range(count):
-        cdist(pts[s, first:n], pts[s, :n], out=block)
-        flat[band] = np.inf
-        block.argmin(axis=1, out=row_i[s])
-        row_d[s] = block[r, row_i[s]]
-        if columns:
-            lead.argmin(axis=0, out=col_i[s])
-            col_d[s] = block[col_i[s], c]
+    c, at = np.arange(columns), np.empty(columns, dtype=np.intp)
+    scratch, keys = np.empty((height, n)), pts[:, :n]
+    for top in range(0, m, height):
+        rows = slice(top, min(top + height, m))
+        tile = scratch[: rows.stop - top]
+        r = np.arange(len(tile))
+        band = _band(len(tile), n, first + top - theiler, first + top + theiler)
+        flat, lead = tile.ravel(), tile[:, :columns]
+        queries, tile_i, tile_d = pts[:, first + top : first + rows.stop], row_i[:, rows], row_d[:, rows]
+        for s in range(count):
+            cdist(queries[s], keys[s], out=tile)
+            flat[band] = np.inf
+            tile.argmin(axis=1, out=tile_i[s])
+            tile_d[s] = tile[r, tile_i[s]]
+            if columns and not top:
+                lead.argmin(axis=0, out=col_i[s])
+                col_d[s] = tile[col_i[s], c]
+            elif columns:  # a later tile's minima replace those so far only when strictly nearer
+                lead.argmin(axis=0, out=at)
+                d = tile[at, c]
+                nearer = d < col_d[s]
+                col_d[s, nearer] = d[nearer]
+                col_i[s, nearer] = at[nearer] + top
     col_i += first
     return row_d, row_i, col_d, col_i
 
@@ -215,9 +236,10 @@ def _nearest_from_halves(pts, n, theiler, half_dist, half_nn):
 
     Segment s at w begins with segment 2s at w/2 (A), whose points [0, nh)
     were searched among themselves. One fresh block, rows [nh, n) by columns
-    [0, n), gives by its row minima the nearest neighbors of [nh, n), and by
-    its column minima over [0, nh) those of A's points among [nh, n), which
-    replace A's own only when strictly nearer, so ties keep the lowest index.
+    [0, n), searched tile by tile, gives by its row minima the nearest
+    neighbors of [nh, n), and by its column minima over [0, nh) those of A's
+    points among [nh, n), which replace A's own only when strictly nearer,
+    so ties keep the lowest index.
     pts is the clip embedding cut at w, and every distance, half_dist
     included, must be on that one scale; the Theiler window does not depend
     on w.
@@ -295,16 +317,15 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
     the fewest whole blocks that hold `_BLOCK` (2**15) samples, and the last
     group of the last range taking the tail. A segment and the halves it is
     built from never straddle a cut, so the results depend on neither split.
-    Memory beyond the outputs is one group's scratch per CPU: a group holds
+    Each segment is searched in tiles of at most `_TILE` (2**17) distance
+    cells, so memory beyond the outputs is one group's arrays plus one tile
+    per CPU, at any clip length and any window: a group holds
     max(`_BLOCK`, lcm(windows)) samples, or less than one block more, and
     the last one also the tail. That is flat in the clip's length only once
     the clip spans a group: with windows (1021, 1031), lcm 1,052,651, a clip
     under two blocks is one group and its scratch grows with it. At the
-    default windows (lcm 1024, 32-block groups) it is about 7 MB per CPU at
-    any clip length; its floor is the w = 1024 search block, 448 x 894
-    doubles (3.2 MB), plus the 1.6 MB copy its column minima are taken
-    from. A non-finite sample raises InvalidArgumentError before any range
-    starts.
+    default windows (lcm 1024, 32-block groups) it is about 3 MB per CPU.
+    A non-finite sample raises InvalidArgumentError before any range starts.
     """
     p = p or EmbeddingParams()
     x = np.asarray(x, dtype=np.float64)

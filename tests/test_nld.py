@@ -2,6 +2,7 @@ import math
 import os
 import sys
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +31,9 @@ SCALES = (100, 200, 300, 500, 600)
 # one range on the calling thread, and three uneven ones wherever the clip
 # holds three lcm(windows) blocks
 SPLIT_CPUS = (1, 3)
+# cells per search tile: the module's own, or as few as one row per tile, so
+# that one segment's search spans many tiles
+TILES = st.one_of(st.just(nld._TILE), st.integers(1, 400))
 
 
 class TestDelayEmbed:
@@ -182,9 +186,10 @@ class TestLyapunovKernel:
         theiler=st.one_of(st.none(), st.integers(0, 40)),
         scale=st.sampled_from([1.0, 1e-3, 37.0]),
         quiet_row=st.booleans(),
+        tile=TILES,
     )
     @settings(max_examples=150, deadline=None)
-    def test_matches_dense_reference(self, kind, seed, count, extra, d, tau, delta, theiler, scale, quiet_row):
+    def test_matches_dense_reference(self, kind, seed, count, extra, d, tau, delta, theiler, scale, quiet_row, tile):
         p = EmbeddingParams(d=d, tau=tau, delta=delta, theiler=theiler)
         span = (d - 1) * tau
         length = span + (delta or 1) + 1 + extra
@@ -206,7 +211,7 @@ class TestLyapunovKernel:
             segments[rng.integers(count)] *= 2.0**-600
         expected = [reference_lyapunov(seg, p) for seg in segments]
         for cpus in SPLIT_CPUS:
-            with record_split(cpus):
+            with record_split(cpus), mock.patch.object(nld, "_TILE", tile):
                 values, degenerate = lyapunov_windows(segments.ravel(), [length], p)[length]
             assert values.tolist() == [v for v, _ in expected]
             assert degenerate.tolist() == [flag for _, flag in expected]
@@ -238,16 +243,21 @@ class TestLyapunovKernel:
         theiler=st.one_of(st.none(), st.integers(0, 40)),
         amplitude=st.sampled_from([1.0, 1e200, 1e-200, 2.0**1020]),
         below_floor=st.booleans(),
+        tile=TILES,
     )
     @settings(max_examples=150, deadline=None)
     # theiler 14 leaves no pair at w = 16 (n = 15): 32 is searched whole, and 64 built from it
     @example(kind="random", seed=1, windows=[16, 32, 64], extra=0, d=1, tau=1, delta=1, theiler=14,
-             amplitude=1.0, below_floor=False)
+             amplitude=1.0, below_floor=False, tile=nld._TILE)
     # theiler 10 at w = 16: rows 4 to 10 have no pair in their half, and each has one at 32
     @example(kind="random", seed=2, windows=[16, 32], extra=40, d=1, tau=1, delta=1, theiler=10,
-             amplitude=1.0, below_floor=False)
+             amplitude=1.0, below_floor=False, tile=nld._TILE)
+    # one row per tile on PCM16 levels at d = 1: exact ties between rows of
+    # different tiles, which the column minima merged across tiles keep at the lowest
+    @example(kind="pcm16", seed=3, windows=[12, 24, 48], extra=0, d=1, tau=1, delta=None, theiler=None,
+             amplitude=1.0, below_floor=False, tile=1)
     def test_windows_match_dense_reference(
-        self, kind, seed, windows, extra, d, tau, delta, theiler, amplitude, below_floor
+        self, kind, seed, windows, extra, d, tau, delta, theiler, amplitude, below_floor, tile
     ):
         """Every window of one `lyapunov_windows` call, dyadic chains composed
         from their halves included, equals the dense per-segment reference."""
@@ -286,7 +296,7 @@ class TestLyapunovKernel:
                 lyapunov_windows(x, windows, p)
             return
         for cpus in SPLIT_CPUS:
-            with record_split(cpus):
+            with record_split(cpus), mock.patch.object(nld, "_TILE", tile):
                 levels = lyapunov_windows(x, windows, p)
             assert list(levels) == sorted(windows)
             for w, (values, degenerate) in levels.items():
@@ -375,33 +385,45 @@ class TestLyapunovKernel:
         assert [values.size for values, _ in levels.values()] == [519, 259, 129]
         assert_each_segment_alone(levels, x)
 
+    @staticmethod
+    def scratch(x, windows):
+        """The traced peak of one `lyapunov_windows` call beyond its outputs:
+        numpy reports its allocations to tracemalloc."""
+        nld._cdist()  # the kernel's module is loaded once per process, not scratch
+        tracemalloc.start()
+        try:
+            levels = lyapunov_windows(x, windows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - sum(v.nbytes + d.nbytes for v, d in levels.values())
+
     def test_scratch_does_not_grow_with_the_clip(self, speech):
-        # numpy reports its allocations to tracemalloc. Beyond the outputs, the
-        # traced peak is one group's scratch per CPU at any length: the w = 1024
-        # search block and the copy its column minima are taken from (4.8 MB),
+        # Beyond the outputs, the traced peak is one group's scratch per CPU at
+        # any length: one search tile of at most `nld._TILE` doubles (1 MB)
         # plus about 2 MB of arrays over the group's 32 blocks. The growth is
         # read on 1 CPU, where no thread runs and the reading is fixed; on 2
         # CPUs the two ranges' peaks may or may not coincide, so only an upper
         # bound is checked there.
-        group_scratch = 8e6
-        nld._cdist()  # the kernel's module is loaded once per process, not scratch
-
-        def excess(duration):
-            x = speech(duration).samples
-            tracemalloc.start()
-            try:
-                levels = lyapunov_windows(x, DEFAULT_LYAPUNOV_WINDOWS)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            return peak - sum(v.nbytes + d.nbytes for v, d in levels.values())
-
+        group_scratch = 4e6
         with record_split(1):
-            short, long = excess(1.0), excess(4.0)
+            short, long = (self.scratch(speech(s).samples, DEFAULT_LYAPUNOV_WINDOWS) for s in (1.0, 4.0))
         assert long - short <= 1e6
         assert long <= group_scratch
         with record_split(2):
-            assert excess(4.0) <= 2 * group_scratch
+            assert self.scratch(speech(4.0).samples, DEFAULT_LYAPUNOV_WINDOWS) <= 2 * group_scratch
+
+    def test_scratch_does_not_grow_with_the_window(self, speech):
+        # one tile per CPU however long a row: a whole 4096-sample segment
+        # (3582 x 3582 distance cells, 103 MB as one block) is searched
+        # through the same tile as the default windows
+        x = speech(1.0).samples
+        with record_split(1):
+            scratch = [
+                self.scratch(x, windows)
+                for windows in (DEFAULT_LYAPUNOV_WINDOWS, (64, 128, 256, 512, 1024, 2048, 4096), (4096,))
+            ]
+        assert max(scratch) - min(scratch) <= 1e6
 
     @pytest.mark.parametrize("window", [4801, 10**30])
     def test_window_longer_than_the_clip_is_not_searched(self, monkeypatch, speech, window):
