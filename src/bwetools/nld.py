@@ -255,12 +255,19 @@ def _nearest_from_halves(pts, n, theiler, half_dist, half_nn):
 
 def _norms(a: np.ndarray, b: np.ndarray, exponent) -> np.ndarray:
     """np.ldexp(np.linalg.norm(a - b, axis=2), exponent) bit for bit, by norm's
-    own reduction, with no temporary beyond b, which it overwrites. A norm
-    that overflows raises InvalidArgumentError."""
+    own reduction, with no temporary beyond b, which it overwrites and whose
+    first coordinate holds the squared sums when d < 8. A norm that overflows
+    raises InvalidArgumentError."""
     np.subtract(a, b, out=b)
     np.square(b, out=b)
+    if b.shape[2] < 8:  # numpy's pairwise sum adds under 8 terms in order, more in 8 partial sums
+        squares = b[:, :, 0]
+        for j in range(1, b.shape[2]):
+            squares += b[:, :, j]
+    else:
+        squares = b.sum(axis=2)
     with np.errstate(over="ignore"):  # an overflow raises below instead
-        return _finite(np.ldexp(np.sqrt(b.sum(axis=2)), exponent), "the array of neighbor distances")
+        return _finite(np.ldexp(np.sqrt(squares), exponent), "the array of neighbor distances")
 
 
 def _rates(y: np.ndarray, exponent, n: int, delta: int, theiler: int, nn: np.ndarray, eps: float):

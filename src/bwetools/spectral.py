@@ -124,19 +124,33 @@ def _per_frame(fn, cfg: StftConfig, *signals: np.ndarray) -> np.ndarray:
     """fn's rows for every analysis frame of the equal-length sample arrays
     `signals`, stacked along axis 0. fn gets the rfft of each signal's
     windowed frames, _BLOCK frames at a time, and returns one row per frame;
-    a block with a non-finite entry raises InvalidArgumentError."""
+    a block with a non-finite entry raises InvalidArgumentError. Frames are
+    views of the signals, so memory beyond the inputs and the output is one
+    block's: only a block that reaches into the centring pad copies its span."""
     pad = cfg.n_fft // 2 if cfg.center else 0
     padded = signals[0].size + 2 * pad
     if padded < cfg.n_fft:
         raise InvalidArgumentError(f"signal too short for one frame ({padded} < {cfg.n_fft})")
-    frames = [sliding_window_view(np.pad(x, pad), cfg.n_fft)[:: cfg.hop] for x in signals]
+    count = (padded - cfg.n_fft) // cfg.hop + 1
     win = cfg.window_array()
-    for s in range(0, len(frames[0]), _BLOCK):
-        rows = fn(*(_finite(np.fft.rfft(f[s : s + _BLOCK] * win, axis=1), "STFT") for f in frames))
+    for s in range(0, count, _BLOCK):
+        lo = s * cfg.hop - pad  # the block's span [lo, hi) in sample indices
+        hi = (min(s + _BLOCK, count) - 1) * cfg.hop - pad + cfg.n_fft
+        frames = (sliding_window_view(_span(x, lo, hi), cfg.n_fft)[:: cfg.hop] for x in signals)
+        rows = fn(*(_finite(np.fft.rfft(f * win, axis=1), "STFT") for f in frames))
         if s == 0:
-            out = np.empty((len(frames[0]), *rows.shape[1:]), rows.dtype)
+            out = np.empty((count, *rows.shape[1:]), rows.dtype)
         out[s : s + _BLOCK] = rows
     return out
+
+
+def _span(x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """x[lo:hi], with zeros where the span reaches past either end of x."""
+    if 0 <= lo and hi <= x.size:
+        return x[lo:hi]
+    span = np.zeros(hi - lo, x.dtype)
+    span[max(0, -lo) : min(hi, x.size) - lo] = x[max(0, lo) : hi]
+    return span
 
 
 def istft(spec: ComplexSpectrogram, rate: int = 1) -> Waveform:
