@@ -187,69 +187,48 @@ def _cdist():
 _TILE = 1 << 17
 
 
-def _nearest(pts, first: int, n: int, theiler: int, columns: int = 0):
-    """Exact nearest neighbors in the block of rows [first, n) by columns
-    [0, n) of every segment of pts, (count, points, d), outside the Theiler
-    window |j - j'| <= theiler: (distance, index) of each row among the
-    columns and of each of the first `columns` columns among the rows, as
-    point indices, the lowest on ties. A row or column with no pair outside
-    the window gets inf. The block is searched in tiles of whole rows, each
-    at most `_TILE` cells (one row if a row is longer) and all but the last
-    of equal height, through one scratch tile on the calling thread. A
-    column's minimum over each tile replaces the one so far only when
-    strictly nearer, so ties keep the lowest index across tiles too."""
+def _nearest(pts, n: int, theiler: int, half=None):
+    """Exact nearest neighbors of the points [0, n) of every segment of pts,
+    (count, points, d), among those points outside the Theiler window
+    |j - j'| <= theiler: (distance, index) arrays of shape (count, n), the
+    lowest index on ties, and inf where no pair lies outside the window.
+
+    half, the (distance, index) result at w/2 on the same scale and Theiler
+    window, seeds the search: segment s begins with segment 2s at w/2, whose
+    first nh points were searched among themselves, so their entries are
+    copied and only rows [nh, n) are searched against all n points. The rows
+    are searched in tiles of whole rows, each at most `_TILE` cells (one row
+    if a row is longer) and all but the last of equal height, through one
+    scratch tile on the calling thread. A tile's column minimum replaces a
+    seeded entry only when strictly nearer, so ties keep the lowest index."""
     cdist = _cdist()
-    count, m = pts.shape[0], n - first
-    tiles = -(-m // max(1, _TILE // n))
-    height = -(-m // tiles)  # rows per tile, evened so no tile is a sliver
-    row_d, row_i = np.empty((count, m)), np.empty((count, m), dtype=np.intp)
-    col_d, col_i = np.empty((count, columns)), np.empty((count, columns), dtype=np.intp)
-    c, at = np.arange(columns), np.empty(columns, dtype=np.intp)
-    scratch, keys = np.empty((height, n)), pts[:, :n]
-    for top in range(0, m, height):
-        rows = slice(top, min(top + height, m))
+    count = pts.shape[0]
+    dist, nn = np.empty((count, n)), np.empty((count, n), dtype=np.intp)
+    first = 0 if half is None else half[0].shape[1]
+    if first:
+        dist[:, :first], nn[:, :first] = (h[: 2 * count : 2] for h in half)
+    tiles = -(-(n - first) // max(1, _TILE // n))
+    height = -(-(n - first) // tiles)  # rows per tile, evened so no tile is a sliver
+    c, at = np.arange(first), np.empty(first, dtype=np.intp)
+    scratch, keys, seed_d, seed_i = np.empty((height, n)), pts[:, :n], dist[:, :first], nn[:, :first]
+    for top in range(first, n, height):
+        rows = slice(top, min(top + height, n))
         tile = scratch[: rows.stop - top]
         r = np.arange(len(tile))
-        band = _band(len(tile), n, first + top - theiler, first + top + theiler)
-        flat, lead = tile.ravel(), tile[:, :columns]
-        queries, tile_i, tile_d = pts[:, first + top : first + rows.stop], row_i[:, rows], row_d[:, rows]
+        band = _band(len(tile), n, top - theiler, top + theiler)
+        flat, lead = tile.ravel(), tile[:, :first]
+        queries, tile_i, tile_d = pts[:, rows], nn[:, rows], dist[:, rows]
         for s in range(count):
             cdist(queries[s], keys[s], out=tile)
             flat[band] = np.inf
             tile.argmin(axis=1, out=tile_i[s])
             tile_d[s] = tile[r, tile_i[s]]
-            if columns and not top:
-                lead.argmin(axis=0, out=col_i[s])
-                col_d[s] = tile[col_i[s], c]
-            elif columns:  # a later tile's minima replace those so far only when strictly nearer
+            if first:
                 lead.argmin(axis=0, out=at)
                 d = tile[at, c]
-                nearer = d < col_d[s]
-                col_d[s, nearer] = d[nearer]
-                col_i[s, nearer] = at[nearer] + top
-    col_i += first
-    return row_d, row_i, col_d, col_i
-
-
-def _nearest_from_halves(pts, n, theiler, half_dist, half_nn):
-    """`_nearest` of [0, n) at window w, built from the neighbors at w/2.
-
-    Segment s at w begins with segment 2s at w/2 (A), whose points [0, nh)
-    were searched among themselves. One fresh block, rows [nh, n) by columns
-    [0, n), searched tile by tile, gives by its row minima the nearest
-    neighbors of [nh, n), and by its column minima over [0, nh) those of A's
-    points among [nh, n), which replace A's own only when strictly nearer,
-    so ties keep the lowest index.
-    pts is the clip embedding cut at w, and every distance, half_dist
-    included, must be on that one scale; the Theiler window does not depend
-    on w.
-    """
-    nh = half_dist.shape[1]
-    row_d, row_i, col_d, col_i = _nearest(pts, nh, n, theiler, columns=nh)
-    a = slice(0, 2 * pts.shape[0], 2)  # the segments A
-    nearer = col_d < half_dist[a]
-    dist = np.concatenate((np.where(nearer, col_d, half_dist[a]), row_d), axis=1)
-    nn = np.concatenate((np.where(nearer, col_i, half_nn[a]), row_i), axis=1)
+                nearer = d < seed_d[s]
+                seed_d[s, nearer] = d[nearer]
+                seed_i[s, nearer] = at[nearer] + top
     return dist, nn
 
 
@@ -310,8 +289,9 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
     Distances are measured on the clip scaled by the power of two from its
     peak, and the exact scale is undone before eps is added, so extreme
     amplitudes do not overflow and in-range results are unchanged. On that
-    one scale, segment s at w begins with segment 2s at w/2, whose search w
-    reuses when w/2 is in the set. This is exact while every nonzero sample
+    one scale, segment s at w begins with segment 2s at w/2, and w seeds its
+    search from w/2's when w/2 is in the set, searching only its other
+    points against all of them. This is exact while every nonzero sample
     of the scaled clip is at least 2**-459 in magnitude (every squared
     difference is then a normal number); below that each segment is scaled
     by its own peak and searched alone. A neighbor distance or a rate too
@@ -366,18 +346,17 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
 
     def run(start, stop):
         z = scaled(start, stop) if shared else x[start:stop]
-        searched = None  # (window, distances, neighbors) on the clip scale
+        searched = None  # (window, (distances, neighbors)) on the clip scale
         for w, (n, delta, theiler) in searches.items():
             first, count = start // w, (stop - start) // w
             segments, scale = z[: count * w].reshape(count, w), exponent
             if not shared:  # each segment on its own scale, searched alone
                 segments, scale = unit_peak(segments, axis=1)
             pts = delay_embed(segments, p.d, p.tau)
-            if shared and searched is not None and 2 * searched[0] == w:
-                searched = (w, *_nearest_from_halves(pts, n, theiler, *searched[1:]))
-            else:
-                searched = (w, *_nearest(pts, 0, n, theiler)[:2])
-            out[w][0][first : first + count] = _rates(pts, scale, n, delta, theiler, searched[2], p.eps)
+            # rebinding `searched` drops w/2's result before the rates run
+            seeded = shared and searched is not None and 2 * searched[0] == w
+            searched = w, _nearest(pts, n, theiler, searched[1] if seeded else None)
+            out[w][0][first : first + count] = _rates(pts, scale, n, delta, theiler, searched[1][1], p.eps)
             del pts  # not held while the next window is embedded
 
     def chain(lo, hi):
@@ -388,7 +367,7 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
 
     if searches:  # the kernel is loaded here, not by two ranges at once
         _cdist()
-    _over_segments(blocks, chain)
+        _over_segments(blocks, chain)
     return out
 
 

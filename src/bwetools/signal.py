@@ -237,16 +237,6 @@ def save_wav(path, wf: Waveform, encoding: str = "float32") -> None:
         fh.write(data)
 
 
-def _kaiser(m: int, beta: float) -> np.ndarray:
-    """np.kaiser(m, beta) for m >= 2, array_equal to it: the window is exactly
-    symmetric, so np.i0, most of the design time of a long filter, runs on
-    half of it."""
-    alpha = (m - 1) / 2.0
-    n = np.arange((m + 1) // 2, dtype=np.float64)
-    half = np.i0(beta * np.sqrt(1 - ((n - alpha) / alpha) ** 2.0)) / np.i0(float(beta))
-    return np.concatenate([half, half[: m // 2][::-1]])
-
-
 def _design_lowpass(cutoff: float, half_width: int) -> np.ndarray:
     """Kaiser-windowed sinc, beta KAISER_BETA, with `half_width` zero
     crossings per side.
@@ -255,7 +245,7 @@ def _design_lowpass(cutoff: float, half_width: int) -> np.ndarray:
     """
     n_half = int(math.ceil(half_width / cutoff))
     n = np.arange(-n_half, n_half + 1, dtype=np.float64)
-    taps = cutoff * np.sinc(cutoff * n) * _kaiser(2 * n_half + 1, KAISER_BETA)
+    taps = cutoff * np.sinc(cutoff * n) * np.kaiser(2 * n_half + 1, KAISER_BETA)
     return taps / taps.sum()
 
 

@@ -413,6 +413,12 @@ class TestLyapunovKernel:
         with record_split(2):
             assert self.scratch(speech(4.0).samples, DEFAULT_LYAPUNOV_WINDOWS) <= 2 * group_scratch
 
+    def test_scratch_without_a_search(self, speech):
+        # a window longer than the clip is not searched, so no range runs and
+        # no scaled copy of the 12 s clip (4.6 MB) is made
+        x = np.tile(speech(4.0).samples, 3)
+        assert self.scratch(x, [x.size + 1]) <= 1e6
+
     def test_scratch_does_not_grow_with_the_window(self, speech):
         # one tile per CPU however long a row: a whole 4096-sample segment
         # (3582 x 3582 distance cells, 103 MB as one block) is searched

@@ -20,7 +20,6 @@ from bwetools.errors import (
 from bwetools.signal import (
     ResampleConfig,
     Waveform,
-    _kaiser,
     _polyphase_taps,
     _resample_plan,
     degrade,
@@ -440,11 +439,6 @@ class TestResample:
         taps = _polyphase_taps(48000, 7999, ResampleConfig())[0]
         blocks = _resample_plan(48000, 7999, ResampleConfig())[-1]
         assert sum(bank.size for *_, bank in blocks) <= 3 * len(taps)
-
-    @pytest.mark.parametrize("m", [2, 3, 4, 5, 64, 205, 409, 10837, 100_000, 100_001])
-    @pytest.mark.parametrize("beta", [0.0, 8.6, 14.0])
-    def test_kaiser_is_numpy_kaiser(self, m, beta):
-        assert np.array_equal(_kaiser(m, beta), np.kaiser(m, beta))
 
 
 class TestDegrade:
