@@ -18,8 +18,9 @@ __all__ = ["MetricReport", "lsd", "si_sdr", "si_snr", "stoi", "evaluate"]
 # SI-SDR/SI-SNR are clipped to +/-SI_CAP_DB: +SI_CAP_DB for a (numerically)
 # exact match, -SI_CAP_DB for an estimate with no component along the
 # reference (a silent one included). Values are rounded to a grid of
-# 10**-SI_DECIMALS dB, so that scaling either signal by a positive factor gives
-# the same float, not one an ULP away.
+# 10**-SI_DECIMALS dB, so that scaling either signal by a power of two gives
+# the same float, not one an ULP away; any other positive factor rounds the
+# samples and may move the value by one grid step.
 SI_CAP_DB = 200.0
 SI_DECIMALS = 9
 

@@ -33,7 +33,6 @@ __all__ = [
 ]
 
 DEFAULT_MRLD_WIDTHS = (64, 128, 256, 384, 256)
-_MACS = 2**18  # multiply-adds per product tile, the most OpenBLAS keeps on the calling thread
 MPD_REFERENCE_PARAMS = 22_000_000  # published size of the periodicity discriminator
 LEAKY_SLOPE = 0.1  # negative-side slope of every leaky ReLU
 
@@ -66,24 +65,23 @@ class ConvSpec:
         return (table | {"dwb": (self.c_in,), "pwb": (self.c_out,)}) if self.bias else table
 
     def apply(self, x: np.ndarray, w: dict) -> np.ndarray:
+        import numpy as np
+
         col = (-1,) + (1,) * self.dims
         if self.kind == "standard":
             windows = _windows(x, self.kernel, self.stride)
-            spatial = windows.shape[1 : 1 + self.dims]
             # contract w's (c_in, taps...) axes with the windows' (C, ..., taps...)
-            taps = windows.transpose(0, *range(-self.dims, 0), *range(1, 1 + self.dims))
-            out = _matmul(w["w"].reshape(self.c_out, -1), taps.reshape(-1, math.prod(spatial)))
-            bias = "b"
-        else:
-            dw = _depthwise(x, w["dw"], self.stride)
+            axes = tuple(range(1, 2 + self.dims)), (0, *range(-self.dims, 0))
+            out = np.tensordot(w["w"], windows, axes=axes)
             if self.bias:
-                dw += w["dwb"].reshape(col)
-            spatial = dw.shape[1:]
-            out = _matmul(w["pw"], dw.reshape(self.c_in, -1))  # pointwise 1x1 mixing
-            bias = "pwb"
-        out = out.reshape(self.c_out, *spatial)
+                out += w["b"].reshape(col)
+            return out
+        dw = _depthwise(x, w["dw"], self.stride)
         if self.bias:
-            out += w[bias].reshape(col)
+            dw += w["dwb"].reshape(col)
+        out = np.tensordot(w["pw"], dw, axes=(1, 0))  # pointwise 1x1 mixing
+        if self.bias:
+            out += w["pwb"].reshape(col)
         return out
 
 
@@ -212,54 +210,6 @@ def _depthwise(x: np.ndarray, kernel: np.ndarray, stride: int = 1) -> np.ndarray
     return np.einsum(f"c{s}{t},c{t}->c{s}", _windows(x, kernel.shape[-1], stride), kernel)
 
 
-def _parts(size: int, most: int) -> list[int]:
-    """Edges of the fewest near-equal parts of range(size) of at most `most` each."""
-    count = -(-size // most)
-    return [size * i // count for i in range(count + 1)]
-
-
-def _tiles(m: int, k: int, n: int) -> tuple[list[int], list[int], list[int]]:
-    """Row, depth and column edges of the tiles that _matmul cuts a non-empty
-    (m, k) @ (k, n) product into.
-
-    OpenBLAS runs a dgemm of at most 65,536 x 4 = 2**18 multiply-adds on the
-    calling thread (interface/gemm.c), so a tile holds at most _MACS. Tiles
-    are near-square in the output, which keeps the packing per multiply-add
-    small, and no part is shorter than 2 where its dimension is not, so every
-    tile stays a dgemm. numpy runs a product with one row or one column as a
-    gemv, which OpenBLAS threads from 2,304 x 4 multiply-adds, so the tiles
-    of such a product hold a 32nd of the bound."""
-    macs = _MACS if min(m, n) > 1 else _MACS // 32
-    depth = min(k, macs // (min(m, 4) * min(n, 4)))  # room for up to 4 x 4 output cells
-    cells = macs // depth
-    rows = min(m, math.isqrt(cells))
-    cols = min(n, cells // rows)
-    rows = min(m, cells // cols)
-    return _parts(m, rows), _parts(k, depth), _parts(n, cols)
-
-
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for 2-D a and b, computed tile by tile (_tiles) into one result.
-
-    A threaded OpenBLAS call leaves its worker spinning for about 0.1 s on
-    the other CPU; on a 2-CPU machine that slowed the next mrld_features
-    call on a 3 s clip by 7-12%. No tile is large enough to wake it. A
-    product that fits one tile is one np.matmul, bit for bit; a tile with
-    several depth parts adds them in order, which may round differently
-    from one call."""
-    import numpy as np
-
-    rows, depth, cols = _tiles(*a.shape, b.shape[1])
-    out = np.empty((a.shape[0], b.shape[1]), np.result_type(a, b))
-    for i, i1 in zip(rows, rows[1:]):
-        for j, j1 in zip(cols, cols[1:]):
-            tile = out[i:i1, j:j1]
-            np.matmul(a[i:i1, : depth[1]], b[: depth[1], j:j1], out=tile)
-            for s, s1 in zip(depth[1:], depth[2:]):
-                tile += np.matmul(a[i:i1, s:s1], b[s:s1, j:j1])
-    return out
-
-
 def forward_cnn(
     net: NetDescriptor,
     stack: FeatureMapStack,
@@ -271,13 +221,8 @@ def forward_cnn(
 
     Weights come from a fixed-seed uniform init unless given explicitly, so
     the output is a pure function of (descriptor, seed/weights, input).
-
-    Every product runs on the calling thread (_matmul), so the pass leaves no
-    OpenBLAS worker spinning on the CPU that MRLD's second range needs, and
-    its bits do not depend on the BLAS thread count. On a long stack this
-    costs the BLAS threads: at a 30 s width (22,500 columns) the MRLD CNN
-    takes about 25 ms more, against the 20-30 ms that the mrld_features
-    call after it saves on two CPUs.
+    Its products go to BLAS, which OpenBLAS may thread, so the last bits may
+    follow the BLAS build and thread count.
     """
     convs = net.conv_layers()
     if not convs:
@@ -384,26 +329,23 @@ def _generator_shapes(g: GeneratorGraph) -> list[dict]:
 
 
 def _run_block(x: np.ndarray, g: GeneratorGraph, p: dict) -> np.ndarray:
-    import numpy as np
-
-    # x: (T, hidden). Pre-norm self-attention sublayer, one head's columns at a time.
-    dh = g.hidden // g.heads
+    # x: (T, hidden). Pre-norm self-attention sublayer.
+    t, h = x.shape
+    dh = h // g.heads
     xa = _layer_norm(x)
-    q, k, v = (_matmul(xa, p[name]) for name in ("wq", "wk", "wv"))
-    attn = np.empty_like(q)
-    for s in range(0, g.hidden, dh):
-        head = slice(s, s + dh)
-        scores = _matmul(q[:, head], k[:, head].T) / math.sqrt(dh)
-        attn[:, head] = _matmul(_softmax(scores), v[:, head])
-    x = x + _matmul(attn, p["wo"])
+    q = (xa @ p["wq"]).reshape(t, g.heads, dh).transpose(1, 0, 2)
+    k = (xa @ p["wk"]).reshape(t, g.heads, dh).transpose(1, 0, 2)
+    v = (xa @ p["wv"]).reshape(t, g.heads, dh).transpose(1, 0, 2)
+    attn = _softmax(q @ k.transpose(0, 2, 1) / math.sqrt(dh)) @ v
+    x = x + attn.transpose(1, 0, 2).reshape(t, h) @ p["wo"]
 
     # ConvNeXt sublayer: depthwise conv along time, norm, expand, project.
     conv = _depthwise(x.T, p["dw"]).T
-    conv = _matmul(_gelu(_matmul(_layer_norm(conv), p["cx1"]) + p["cx1b"]), p["cx2"]) + p["cx2b"]
+    conv = _gelu(_layer_norm(conv) @ p["cx1"] + p["cx1b"]) @ p["cx2"] + p["cx2b"]
     x = x + conv
 
     # feed-forward sublayer
-    ff = _matmul(_gelu(_matmul(_layer_norm(x), p["ff1"]) + p["ff1b"]), p["ff2"]) + p["ff2b"]
+    ff = _gelu(_layer_norm(x) @ p["ff1"] + p["ff1b"]) @ p["ff2"] + p["ff2b"]
     return x + ff
 
 
@@ -418,7 +360,7 @@ def generator_forward(
     added to the input; phase stream predicts pseudo-real/imaginary grids
     combined by atan2. Lattice gates inject each stream into the other
     before its block (stage 1 with alpha1/beta1, stage 2 with alpha2/beta2).
-    Every product runs on the calling thread, as in forward_cnn.
+    As in forward_cnn, the last bits may follow the BLAS thread count.
     """
     from .spectral import MagPhase, phase_from_ri
 
@@ -429,19 +371,19 @@ def generator_forward(
     _finite((mp_nb.mag, mp_nb.phase), "generator input magnitude/phase")
     w_in, *blocks, w_head = _draw(_generator_shapes(g), seed, zero_weights)
     s = g.scalars
-    m = _matmul(mp_nb.mag.T, w_in["in_m"]) + w_in["in_mb"]  # (T, hidden)
-    ph = _matmul(mp_nb.phase.T, w_in["in_p"]) + w_in["in_pb"]
+    m = mp_nb.mag.T @ w_in["in_m"] + w_in["in_mb"]  # (T, hidden)
+    ph = mp_nb.phase.T @ w_in["in_p"] + w_in["in_pb"]
 
     m1 = _run_block(m + s.alpha1 * ph, g, blocks[0])
     p1 = _run_block(ph + s.beta1 * m, g, blocks[1])
     m2 = _run_block(m1 + s.alpha2 * p1, g, blocks[2])
     p2 = _run_block(p1 + s.beta2 * m1, g, blocks[3])
 
-    residual = (_matmul(_layer_norm(m2), w_head["head_mag"]) + w_head["head_magb"]).T
+    residual = (_layer_norm(m2) @ w_head["head_mag"] + w_head["head_magb"]).T
     out_mag = mp_nb.mag + residual
     pn = _layer_norm(p2)
-    r = (_matmul(pn, w_head["head_r"]) + w_head["head_rb"]).T
-    i = (_matmul(pn, w_head["head_i"]) + w_head["head_ib"]).T
+    r = (pn @ w_head["head_r"] + w_head["head_rb"]).T
+    i = (pn @ w_head["head_i"] + w_head["head_ib"]).T
     return MagPhase(out_mag, phase_from_ri(r, i), mp_nb.config, mp_nb.n_samples)
 
 

@@ -9,6 +9,7 @@ from bwetools.demo import synthetic_speech
 from bwetools.errors import InvalidArgumentError
 from bwetools.metrics import (
     SI_CAP_DB,
+    SI_DECIMALS,
     STOI_CONFIG,
     _third_octave_bands,
     evaluate,
@@ -121,16 +122,26 @@ class TestSiMetrics:
     # about 1e-13 dB above a rounding boundary of the 1e-9 dB grid, where
     # rounding the centred signals and alpha * ref once tipped si_snr over it
     @example(seed=357865, noise=0.0001, scale=4471657817455501.0)
+    # rounding the scaled samples moves the true value across a boundary:
+    # si_sdr reads 79.916315892 against 79.916315891, si_snr 80.15159196
+    # against 80.151591959
+    @example(seed=1676, noise=0.0001, scale=125.0)
+    @example(seed=71773, noise=0.0001, scale=9.0)
     @settings(max_examples=100, deadline=None)
     def test_scale_invariance_property(self, seed, noise, scale):
+        """A factor other than a power of two rounds the scaled samples, so
+        the value may land one grid step away (test_power_of_two_scale_is_exact
+        pins exact equality); values on the grid differ by less than 1.5 steps
+        only if they are at most one step apart."""
         rng = np.random.default_rng(seed)
         r = rng.standard_normal(2000)
         e = r + noise * rng.standard_normal(2000)
         ref, est = Waveform(r, 16000), Waveform(e, 16000)
         scaled_est = Waveform(scale * e, 16000)
-        assert si_sdr(ref, scaled_est) == si_sdr(ref, est)
-        assert si_snr(ref, scaled_est) == si_snr(ref, est)
-        assert si_sdr(Waveform(scale * r, 16000), est) == si_sdr(ref, est)
+        step = 10.0**-SI_DECIMALS
+        assert abs(si_sdr(ref, scaled_est) - si_sdr(ref, est)) < 1.5 * step
+        assert abs(si_snr(ref, scaled_est) - si_snr(ref, est)) < 1.5 * step
+        assert abs(si_sdr(Waveform(scale * r, 16000), est) - si_sdr(ref, est)) < 1.5 * step
 
     @given(
         seed=st.integers(0, 2**32 - 1),

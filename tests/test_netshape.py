@@ -1,12 +1,10 @@
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bwetools import netshape
 from bwetools.errors import InvalidArgumentError
 from bwetools.featmaps import FeatureMapStack
 from bwetools.netshape import (
@@ -240,65 +238,6 @@ class TestConvOracle:
             forward_cnn(net, FeatureMapStack(np.zeros(shape), {}))
 
 
-def _operand(rng, rows, cols, layout):
-    """A (rows, cols) array laid out as drawn: C-ordered, a transpose, or a
-    slice with strided rows and an offset start."""
-    if layout == "transposed":
-        return rng.standard_normal((cols, rows)).T
-    if layout == "sliced":
-        return rng.standard_normal((2 * rows + 1, cols + 3))[1::2, 2 : cols + 2]
-    return rng.standard_normal((rows, cols))
-
-
-class TestTiledProduct:
-    # (bound, largest dimension): the real bound, and smaller ones that also
-    # split the depth, on sizes that keep the tile count small; dims drawn in
-    # 1..600 are scaled to 1..largest
-    @settings(deadline=None, max_examples=60)
-    @given(
-        bound=st.sampled_from([(netshape._MACS, 600), (2**12, 150), (2**9, 60)]),
-        dims=st.tuples(*[st.integers(1, 600)] * 3),
-        layouts=st.tuples(*[st.sampled_from(["c", "transposed", "sliced"])] * 2),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    @example(bound=(netshape._MACS, 600), dims=(600, 600, 600), layouts=("c", "c"), seed=0)
-    @example(bound=(netshape._MACS, 600), dims=(1, 600, 600), layouts=("c", "sliced"), seed=1)
-    @example(bound=(netshape._MACS, 600), dims=(600, 600, 1), layouts=("transposed", "c"), seed=2)
-    @example(bound=(2**9, 60), dims=(300, 600, 10), layouts=("c", "c"), seed=3)
-    def test_matches_matmul_within_the_bound(self, bound, dims, layouts, seed):
-        bound, top = bound
-        m, k, n = (1 + (d - 1) * (top - 1) // 599 for d in dims)
-        rng = np.random.default_rng(seed)
-        a, b = _operand(rng, m, k, layouts[0]), _operand(rng, k, n, layouts[1])
-        with (
-            mock.patch.object(netshape, "_MACS", bound),
-            mock.patch.object(np, "matmul", wraps=np.matmul) as matmul,
-        ):
-            got = netshape._matmul(a, b)
-        want = a @ b
-        # summation order moves a sum by at most a few ulps of its terms' magnitudes
-        assert np.all(np.abs(got - want) <= 1e-13 * (np.abs(a) @ np.abs(b)))
-        tiles = [(call.args[0].shape, call.args[1].shape[1]) for call in matmul.call_args_list]
-        if len(tiles) == 1:
-            assert np.array_equal(got, want)
-        if m * k * n <= bound // 32:
-            assert len(tiles) == 1
-        for (rows, depth), cols in tiles:
-            assert rows * depth * cols <= bound
-            # numpy runs a product with one row or column as a gemv, which
-            # OpenBLAS threads from 2,304 x 4 multiply-adds
-            if min(rows, cols) == 1:
-                assert min(m, n) == 1
-                assert rows * depth * cols <= bound // 32
-
-    def test_bound_is_below_openblas_threading_thresholds(self):
-        # OpenBLAS threads a dgemm above 65,536 x 4 multiply-adds, a dgemv from
-        # 2,304 x 4 and a ddot above 10,000; a one-row or one-column tile, the
-        # last two, holds a 32nd of the bound
-        assert netshape._MACS <= 65_536 * 4
-        assert netshape._MACS // 32 < min(2_304 * 4, 10_001)
-
-
 class TestSeededDraw:
     @staticmethod
     def expected_shapes(layer):
@@ -357,8 +296,8 @@ class TestGenerator:
             StftConfig(),
         )
 
-    def test_matches_the_untiled_formula(self):
-        # the pass as written before products were tiled, each product one `@`
+    def test_matches_the_formula(self):
+        # the pass written out inline, each product one `@`
         g = GeneratorGraph()
         mp = self.mp(g)
         w_in, *blocks, w_head = _draw(_generator_shapes(g), 0, False)
