@@ -89,7 +89,7 @@ def mrld_features(wf: Waveform, windows=DEFAULT_LYAPUNOV_WINDOWS) -> FeatureMapS
     width = len(wf) // windows[0]
     data = np.zeros((len(windows), 1, width))
     channel_meta = []
-    for c, (w, (values, _)) in enumerate(levels.items()):
+    for c, (w, values) in enumerate(levels.items()):
         degenerate = values.size == 0
         if not degenerate:
             std = values.std()
@@ -117,17 +117,16 @@ def msdfa_features(
     tile side an integer >= 1 whose maps fit one numpy array. A scale longer
     than half the clip, or one whose fluctuation is exactly 0 (a silent or
     constant clip, or scale 2), gives a zero map flagged degenerate, as a
-    zero-variance MRLD channel is."""
+    zero-variance MRLD channel is. The scales that fit share one profile."""
     scales = [_size(n, "DFA scale", 2) for n in _sizes(scales, "DFA scales")]
     side = _size(side, "tile side", 1)
     if len(scales) * side * side * 8 > np.iinfo(np.intp).max:  # numpy's largest array, in bytes
         raise InvalidArgumentError(f"tile side {side} gives more float64 values than one array can hold")
-    data = np.zeros((len(scales), side, side))
-    channel_meta = []
-    for c, n in enumerate(scales):
-        fluctuation = dfa_fluctuation(wf.samples, n) if len(wf) >= 2 * n else 0.0
-        data[c] = fluctuation
-        channel_meta.append({"scale": n, "degenerate": fluctuation == 0.0})
+    fit = [n for n in scales if len(wf) >= 2 * n]
+    fluctuations = dfa_fluctuation(wf.samples, fit).tolist() if fit else []
+    fluctuations += [0.0] * (len(scales) - len(fit))
+    data = np.broadcast_to(np.reshape(fluctuations, (-1, 1, 1)), (len(scales), side, side)).copy()
+    channel_meta = [{"scale": n, "degenerate": f == 0.0} for n, f in zip(scales, fluctuations)]
     meta = {"extractor": "msdfa", "scales": scales, "side": side, "channels": channel_meta}
     return FeatureMapStack(data, meta)
 

@@ -54,6 +54,8 @@ def _aligned(ref: Waveform, est: Waveform) -> tuple[np.ndarray, np.ndarray]:
     if ref.rate != est.rate:
         raise InvalidArgumentError(f"rate mismatch: {ref.rate} vs {est.rate}")
     n = min(len(ref), len(est))
+    if n == 0:
+        raise InvalidArgumentError(f"nothing to compare: reference has {len(ref)} samples, estimate {len(est)}")
     return ref.samples[:n], est.samples[:n]
 
 

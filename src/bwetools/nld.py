@@ -273,18 +273,17 @@ def _rates(y: np.ndarray, exponent, n: int, delta: int, theiler: int, nn: np.nda
 def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
     """Local Lyapunov exponents of x cut into non-overlapping windows, per size.
 
-    Returns {window: (values, degenerate)} in ascending window order, one
-    entry per whole segment of w samples (one, x itself, at w = x.size); a
-    window too short for the embedding, or longer than the clip, gets empty
-    arrays and is never searched. Windows must be distinct integers >= 1.
+    Returns {window: values} in ascending window order, one value per whole
+    segment of w samples (one, x itself, at w = x.size); a window too short
+    for the embedding, or longer than the clip, gets an empty array and is
+    never searched. Windows must be distinct integers >= 1.
 
     Per segment: for each embedded point j (with j+delta valid) the nearest
     neighbor j' outside the Theiler window |j - j'| <= theiler is found by
     exact search (ties go to the lowest index), and the estimate is the mean
     of (1/delta) * log((|y[j+delta]-y[j'+delta]| + eps) / (|y[j]-y[j']| + eps))
     over all such pairs (Euclidean norm). When the window covers every pair
-    (theiler >= n - 1, n the points with a future) each segment gets 0.0 and
-    degenerate=True.
+    (theiler >= n - 1, n the points with a future) each segment gets 0.0.
 
     Distances are measured on the clip scaled by the power of two from its
     peak, and the exact scale is undone before eps is added, so extreme
@@ -329,15 +328,13 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
     # both tests on every piece of the scaled clip, _BLOCK samples at a time
     pieces = (_finite(scaled(s, s + _BLOCK), "x") for s in range(0, x.size, _BLOCK))
     shared = all([np.all((z == 0) | (np.abs(z) >= _SHARED_SCALE_FLOOR)) for z in pieces])
-    out, searches = {}, {}
+    out, searches = {w: np.zeros(x.size // w) for w in windows}, {}  # 0.0 where the window covers every pair
     for w in windows:
         try:
             n, delta, theiler = _horizon(w, p)
         except InvalidArgumentError:
-            out[w] = (np.empty(0), np.empty(0, dtype=bool))
+            out[w] = np.empty(0)
             continue
-        # a window that covers every pair leaves each segment 0.0 and degenerate
-        out[w] = (np.zeros(x.size // w), np.full(x.size // w, theiler >= n - 1))
         if theiler < n - 1 and w <= x.size:
             searches[w] = n, delta, theiler
     block = math.lcm(*windows)
@@ -356,7 +353,7 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
             # rebinding `searched` drops w/2's result before the rates run
             seeded = shared and searched is not None and 2 * searched[0] == w
             searched = w, _nearest(pts, n, theiler, searched[1] if seeded else None)
-            out[w][0][first : first + count] = _rates(pts, scale, n, delta, theiler, searched[1][1], p.eps)
+            out[w][first : first + count] = _rates(pts, scale, n, delta, theiler, searched[1][1], p.eps)
             del pts  # not held while the next window is embedded
 
     def chain(lo, hi):
@@ -372,14 +369,13 @@ def lyapunov_windows(x, windows, p: EmbeddingParams | None = None) -> dict:
 
 
 def local_lyapunov(segment, p: EmbeddingParams | None = None) -> LyapunovEstimate:
-    """The `lyapunov_windows` entry of one whole segment. A segment too short
-    for the embedding raises InvalidArgumentError. Kept only while the
-    benchmark's tracer wraps it by name, until ROADMAP item 18."""
+    """One whole segment's `lyapunov_windows` value, degenerate when its Theiler
+    window covers every pair; too short a segment raises InvalidArgumentError.
+    Kept only while the benchmark's tracer wraps it by name (ROADMAP item 18)."""
     p = p or EmbeddingParams()
     x = np.asarray(segment, dtype=np.float64).ravel()
-    _horizon(x.size, p)  # too short raises here, not as an empty window
-    values, degenerate = lyapunov_windows(x, [x.size], p)[x.size]
-    return LyapunovEstimate(float(values[0]), bool(degenerate[0]))
+    n, _, theiler = _horizon(x.size, p)  # too short raises here, not as an empty window
+    return LyapunovEstimate(float(lyapunov_windows(x, [x.size], p)[x.size][0]), theiler >= n - 1)
 
 
 def _unscale(value: float, exponent: int, what: str) -> float:
@@ -391,8 +387,9 @@ def _unscale(value: float, exponent: int, what: str) -> float:
         raise InvalidArgumentError(f"{what} overflows at this amplitude") from None
 
 
-def dfa_fluctuation(x, n: int) -> float:
-    """DFA-1 fluctuation at one box size n, an integer >= 2.
+def dfa_fluctuation(x, scales) -> np.ndarray:
+    """DFA-1 fluctuations at the box sizes n of scales, distinct integers >= 2,
+    in ascending order of n, all from one profile.
 
     Cumulative profile of the centered series, split into floor(len/n)
     non-overlapping boxes, linear detrend per box, RMS of the per-box mean
@@ -402,29 +399,32 @@ def dfa_fluctuation(x, n: int) -> float:
     InvalidArgumentError.
     """
     x = _finite(np.asarray(x, dtype=np.float64), "x")
-    n = _size(n, "DFA scale", 2)
-    if x.size < 2 * n:
-        raise InvalidArgumentError(f"need at least {2 * n} samples for scale {n}")
-    if n == 2 or np.ptp(x) == 0.0:
-        # a line fits 2-sample boxes exactly, and centering a constant series
-        # leaves rounding dust in the profile: F is zero by definition
-        return 0.0
+    scales = [_size(n, "DFA scale", 2) for n in _sizes(scales, "DFA scales")]
+    if x.size < 2 * scales[-1]:
+        raise InvalidArgumentError(f"need at least {2 * scales[-1]} samples for scale {scales[-1]}")
+    fluctuations = np.zeros(len(scales))
+    if np.ptp(x) == 0.0:  # centering a constant series leaves rounding dust in the profile
+        return fluctuations
     x, exponent = unit_peak(x)
     profile = np.cumsum(x - x.mean())
-    boxes = profile[: profile.size // n * n].reshape(-1, n)
-    # least-squares line per box in closed form, on the centred time axis
-    t = np.arange(n) - (n - 1) / 2
-    y = boxes - boxes.mean(axis=1, keepdims=True)
-    slope = (y * t).sum(axis=1) / (t @ t)
-    resid = y - slope[:, None] * t
-    return _unscale(float(np.sqrt(np.mean(resid**2))), exponent, "the DFA fluctuation")
+    for i, n in enumerate(scales):
+        if n == 2:  # a line fits 2-sample boxes exactly
+            continue
+        boxes = profile[: profile.size // n * n].reshape(-1, n)
+        # least-squares line per box in closed form, on the centred time axis
+        t = np.arange(n) - (n - 1) / 2
+        y = boxes - boxes.mean(axis=1, keepdims=True)
+        slope = (y * t).sum(axis=1) / (t @ t)
+        resid = y - slope[:, None] * t
+        fluctuations[i] = _unscale(float(np.sqrt(np.mean(resid**2))), exponent, "the DFA fluctuation")
+    return fluctuations
 
 
 def dfa_exponent(x, scales) -> float:
     """Least-squares slope of log F(n) vs log n over the scales in ascending
     order; zero fluctuations excluded. Scales must be distinct integers."""
     scales = np.array(_sizes(scales, "DFA scales"), dtype=np.int64)
-    fluctuations = np.array([dfa_fluctuation(x, n) for n in scales])
+    fluctuations = dfa_fluctuation(x, scales)
     keep = fluctuations > 0
     if np.count_nonzero(keep) < 2:
         raise InvalidArgumentError("fewer than 2 usable scales for the DFA fit")

@@ -218,7 +218,9 @@ def load_wav(path) -> Waveform:
 
 def save_wav(path, wf: Waveform, encoding: str = "float32") -> None:
     """Write a Waveform as mono RIFF PCM16 (44-byte header) or IEEE float32
-    (58-byte header with a fact chunk)."""
+    (58-byte header with a fact chunk), at a rate `load_wav` reads back."""
+    if wf.rate > _MAX_RATE:
+        raise InvalidArgumentError(f"sample rate of {wf.rate} Hz is above {_MAX_RATE} Hz")
     if encoding == "float32":
         data = wf.samples.astype("<f4")
         fmt = struct.pack("<HHIIHHH", _IEEE_FLOAT, 1, wf.rate, 4 * wf.rate, 4, 32, 0)

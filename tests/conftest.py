@@ -42,10 +42,10 @@ def logistic_orbit(n, x0=0.37):
 
 
 def one_segment_lyapunov(x, p):
-    """(value, degenerate) of the array x as one segment: its
-    `lyapunov_windows` entry at the one window x.size."""
-    values, degenerate = nld.lyapunov_windows(x, [x.size], p)[x.size]
-    return values[0], degenerate[0]
+    """(value, degenerate) of the array x as one segment: its `lyapunov_windows`
+    value at the one window x.size, and whether the Theiler window covers every pair."""
+    n, _, theiler = nld._horizon(x.size, p)
+    return nld.lyapunov_windows(x, [x.size], p)[x.size][0], theiler >= n - 1
 
 
 @contextlib.contextmanager

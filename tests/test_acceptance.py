@@ -92,10 +92,10 @@ def test_criterion_2_dfa_oracles():
         dfa_exponent(np.cumsum(np.random.default_rng(s).standard_normal(16384)), DFA_SCALES)
         for s in range(20)
     ])
-    constant_f = dfa_fluctuation(np.full(2000, 1.3), 100)
+    constant_f = dfa_fluctuation(np.full(2000, 1.3), [100])[0]
     # block signal whose cumulative profile is linear inside every box
     blocks = np.tile(np.concatenate([np.ones(100), -np.ones(100)]), 5)
-    linear_f = dfa_fluctuation(blocks, 100)
+    linear_f = dfa_fluctuation(blocks, [100])[0]
     elapsed = time.perf_counter() - start
     report(2, "dfa oracles", [
         ("white alpha 0.50 +- 0.05", abs(white - 0.5) < 0.05),
@@ -226,7 +226,7 @@ def test_criterion_8_feature_map_contracts(speech_clip):
     chaotic_levels = lyapunov_windows(chaotic.samples, DEFAULT_LYAPUNOV_WINDOWS)
     noisy_levels = lyapunov_windows(noisy.samples, DEFAULT_LYAPUNOV_WINDOWS)
     for w in DEFAULT_LYAPUNOV_WINDOWS:
-        a, b = chaotic_levels[w][0], noisy_levels[w][0]
+        a, b = chaotic_levels[w], noisy_levels[w]
         pooled = np.sqrt((a.std() ** 2 + b.std() ** 2) / 2)
         if abs(a.mean() - b.mean()) <= 3 * pooled:
             separated = False

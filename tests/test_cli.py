@@ -126,6 +126,12 @@ class TestCompareCommand:
         save_wav(other, synthetic_speech(duration=1.0, rate=32000))
         assert main(["compare", str(speech_path), str(other)]) == EXIT_USAGE
 
+    def test_empty_estimate_is_usage_error(self, speech_path, tmp_path, capsys):
+        empty = tmp_path / "empty.wav"
+        save_wav(empty, Waveform(np.zeros(0), load_wav(speech_path).rate))
+        assert main(["compare", str(speech_path), str(empty)]) == EXIT_USAGE
+        assert "estimate 0" in capsys.readouterr().err
+
     def test_zero_rate_header_is_io_error(self, speech_path, tmp_path, capsys):
         zero = tmp_path / "zero.wav"
         save_wav(zero, synthetic_speech(duration=0.1, rate=8000), "pcm16")

@@ -59,7 +59,7 @@ SETTINGS = {
     "resample.target_rate": ("target_rate", 8000, lambda v: resample(WF, v)),
     "degrade.low_rate": ("low_rate", 8000, lambda v: degrade(WF, v)),
     "init_weights.seed": ("seed", 3, lambda v: init_weights(build_mrld_cnn(), seed=v)),
-    "dfa_fluctuation.n": ("DFA scale", 100, lambda v: dfa_fluctuation(X, v)),
+    "dfa_fluctuation.n": ("DFA scale", 100, lambda v: dfa_fluctuation(X, [v])),
     "recurrence_plot.max_size": ("max_size", 64, lambda v: recurrence_plot(X, v)),
     "msdfa_features.side": ("tile side", 8, lambda v: msdfa_features(WF, (100, 200), side=v)),
 }

@@ -36,6 +36,15 @@ def orthogonal_error(ref, scale_sq=0.01, seed=97):
     return e
 
 
+@pytest.mark.parametrize("metric", [lsd, si_sdr, si_snr, stoi])
+def test_empty_clip_raises(metric):
+    # an empty common prefix scored LSD 0.0, a perfect score
+    clip, empty = noise_wave(16000), Waveform(np.zeros(0), 16000)
+    for ref, est in ((clip, empty), (empty, clip)):
+        with pytest.raises(InvalidArgumentError, match=f"reference has {len(ref)} samples, estimate {len(est)}"):
+            metric(ref, est)
+
+
 class TestLsd:
     def test_identical_is_zero(self):
         ref = noise_wave(16000)

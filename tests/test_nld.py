@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.distance import cdist
 
-from bwetools import nld
+from bwetools import featmaps, nld
 from bwetools.demo import synthetic_speech
 from bwetools.errors import InvalidArgumentError
 from bwetools.featmaps import DEFAULT_LYAPUNOV_WINDOWS, mrld_features, msdfa_features
@@ -162,16 +162,14 @@ def pcm16(x):
 
 def assert_same_levels(levels, expected):
     assert list(levels) == list(expected)
-    for w, (values, degenerate) in expected.items():
-        assert np.array_equal(levels[w][0], values) and np.array_equal(levels[w][1], degenerate)
+    for w, values in expected.items():
+        assert np.array_equal(levels[w], values)
 
 
 def assert_each_segment_alone(levels, x, p=EmbeddingParams()):
-    """Each window's values and flags are those of its segments, each as the one segment of its own call."""
-    for w, (values, degenerate) in levels.items():
-        expected = [one_segment_lyapunov(seg, p) for seg in x[: x.size // w * w].reshape(-1, w)]
-        assert values.tolist() == [v for v, _ in expected]
-        assert degenerate.tolist() == [flag for _, flag in expected]
+    """Each window's values are those of its segments, each as the one segment of its own call."""
+    for w, values in levels.items():
+        assert values.tolist() == [one_segment_lyapunov(seg, p)[0] for seg in x[: x.size // w * w].reshape(-1, w)]
 
 
 class TestLyapunovKernel:
@@ -212,9 +210,8 @@ class TestLyapunovKernel:
         expected = [reference_lyapunov(seg, p) for seg in segments]
         for cpus in SPLIT_CPUS:
             with record_split(cpus), mock.patch.object(nld, "_TILE", tile):
-                values, degenerate = lyapunov_windows(segments.ravel(), [length], p)[length]
+                values = lyapunov_windows(segments.ravel(), [length], p)[length]
             assert values.tolist() == [v for v, _ in expected]
-            assert degenerate.tolist() == [flag for _, flag in expected]
         # local_lyapunov's contract: each segment's one-segment entry
         for seg, (value, flag) in zip(segments, expected):
             est = local_lyapunov(seg, p)
@@ -299,12 +296,8 @@ class TestLyapunovKernel:
             with record_split(cpus), mock.patch.object(nld, "_TILE", tile):
                 levels = lyapunov_windows(x, windows, p)
             assert list(levels) == sorted(windows)
-            for w, (values, degenerate) in levels.items():
-                if w not in expected:
-                    assert values.size == degenerate.size == 0
-                    continue
-                assert values.tolist() == [v for v, _ in expected[w]]
-                assert degenerate.tolist() == [flag for _, flag in expected[w]]
+            for w, values in levels.items():
+                assert values.tolist() == [v for v, _ in expected.get(w, [])]
 
     def test_split_search_raises_a_worker_error(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -349,18 +342,17 @@ class TestLyapunovKernel:
         # the last range runs to the clip's end: at 1024 the 640-sample tail
         # holds the last segments at w <= 512
         tail = lyapunov_windows(x[count * block :], windows)
-        for w, (values, degenerate) in tail.items():
-            assert np.array_equal(levels[w][0][count * block // w :], values)
-            assert not degenerate.any()
-        assert tail[64][0].size == (10 if block == 1024 else 0)
+        for w, values in tail.items():
+            assert np.array_equal(levels[w][count * block // w :], values)
+        assert tail[64].size == (10 if block == 1024 else 0)
 
     def test_windows_with_a_common_block_past_the_clip_run_as_one_range(self, speech):
         x = speech(1.0).samples
         with record_split(3) as calls:
             levels = lyapunov_windows(x, (1021, 1031))
         assert calls == [(0, [(0, 0)])]  # lcm 1052651
-        assert [values.size for values, _ in levels.values()] == [47, 46]
-        assert np.all(levels[1021][0] != 0) and np.all(levels[1031][0] != 0)
+        assert [values.size for values in levels.values()] == [47, 46]
+        assert np.all(levels[1021] != 0) and np.all(levels[1031] != 0)
 
     @pytest.mark.parametrize("cpus", SPLIT_CPUS)
     def test_clip_shorter_than_one_block_is_one_group(self, speech, cpus):
@@ -370,7 +362,7 @@ class TestLyapunovKernel:
         with record_split(cpus) as calls:
             levels = lyapunov_windows(x, (64, 1024))
         assert calls == [(0, [(0, 0)])]
-        assert [values.size for values, _ in levels.values()] == [10, 0]
+        assert [values.size for values in levels.values()] == [10, 0]
         assert_each_segment_alone(levels, x)
 
     @pytest.mark.parametrize("cpus", SPLIT_CPUS)
@@ -382,7 +374,7 @@ class TestLyapunovKernel:
         with record_split(cpus) as calls:
             levels = lyapunov_windows(x, (64, 128, 256))
         assert [count for count, _ in calls] == [129]
-        assert [values.size for values, _ in levels.values()] == [519, 259, 129]
+        assert [values.size for values in levels.values()] == [519, 259, 129]
         assert_each_segment_alone(levels, x)
 
     @staticmethod
@@ -396,7 +388,7 @@ class TestLyapunovKernel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak - sum(v.nbytes + d.nbytes for v, d in levels.values())
+        return peak - sum(values.nbytes for values in levels.values())
 
     def test_scratch_does_not_grow_with_the_clip(self, speech):
         # Beyond the outputs, the traced peak is one group's scratch per CPU at
@@ -443,9 +435,7 @@ class TestLyapunovKernel:
         monkeypatch.setattr(nld, "_nearest", nearest)
         levels = lyapunov_windows(x, [64, window])
         assert set(searched) == {62}  # w = 64 only: 62 embedded points
-        empty = (np.empty(0), np.empty(0, dtype=bool))
-        assert_same_levels(levels, {**lyapunov_windows(x, [64]), window: empty})
-        assert levels[window][1].dtype == bool
+        assert_same_levels(levels, {**lyapunov_windows(x, [64]), window: np.empty(0)})
 
     def test_clip_split_changes_no_bit(self, speech):
         x = speech(1.0).samples
@@ -484,15 +474,14 @@ class TestLyapunovKernel:
     def test_degenerate_cases(self):
         p = EmbeddingParams(d=2, tau=1, delta=1, theiler=0)
         # n_valid = 1 < 2
-        values, degenerate = lyapunov_windows(np.ones(6), [3], p)[3]
-        assert degenerate.all() and np.all(values == 0.0)
+        values = lyapunov_windows(np.ones(6), [3], p)[3]
+        assert one_segment_lyapunov(np.ones(3), p)[1] and np.all(values == 0.0)
         # theiler >= n_valid masks every pair
         p = EmbeddingParams(d=2, tau=1, delta=1, theiler=9)
-        values, degenerate = lyapunov_windows(np.sin(np.arange(24.0)), [12], p)[12]
-        assert degenerate.all() and np.all(values == 0.0)
+        values = lyapunov_windows(np.sin(np.arange(24.0)), [12], p)[12]
+        assert one_segment_lyapunov(np.sin(np.arange(12.0)), p)[1] and np.all(values == 0.0)
         # no segments at all
-        values, degenerate = lyapunov_windows(np.empty(0), [64], EmbeddingParams())[64]
-        assert values.shape == degenerate.shape == (0,)
+        assert lyapunov_windows(np.empty(0), [64], EmbeddingParams())[64].shape == (0,)
 
     def test_bad_shapes_raise(self):
         for x in (np.ones((3, 4)), np.ones((1, 64)), np.float64(1.0)):
@@ -534,7 +523,7 @@ class TestLyapunovKernel:
         stack = mrld_features(wf)
         for c, w in enumerate(DEFAULT_LYAPUNOV_WINDOWS):
             expected = np.array([reference_lyapunov(seg, p)[0] for seg in frame(wf, w, w)])
-            assert np.array_equal(lyapunov_windows(wf.samples, [w], p)[w][0], expected)
+            assert np.array_equal(lyapunov_windows(wf.samples, [w], p)[w], expected)
             z = (expected - expected.mean()) / expected.std()
             assert np.array_equal(stack.data[c, 0, : expected.size], z)
 
@@ -574,13 +563,13 @@ def reference_dfa(x, n):
 
 class TestDfa:
     def test_constant_input_zero(self):
-        assert dfa_fluctuation(np.full(1000, 3.7), 100) == 0.0
+        assert dfa_fluctuation(np.full(1000, 3.7), [100])[0] == 0.0
 
     @pytest.mark.parametrize("seed", [0, 3, 7])
     def test_two_sample_boxes_are_fitted_exactly(self, speech, seed):
         # the closed-form fit left 1e-15-sized rounding dust at n = 2
         wf = speech(3.0, seed=seed)
-        assert dfa_fluctuation(wf.samples, 2) == 0.0
+        assert dfa_fluctuation(wf.samples, [2])[0] == 0.0
         stack = msdfa_features(wf, scales=(2, 100))
         assert [c["degenerate"] for c in stack.meta["channels"]] == [True, False]
         assert np.all(stack.data[0] == 0.0)
@@ -589,18 +578,18 @@ class TestDfa:
         # +-1 blocks aligned to the box size leave a linear profile per box
         n = 100
         x = np.tile(np.concatenate([np.ones(n), -np.ones(n)]), 5)
-        assert dfa_fluctuation(x, n) == pytest.approx(0.0, abs=1e-9)
+        assert dfa_fluctuation(x, [n])[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_offset_invariance(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal(4000)
-        assert dfa_fluctuation(x + 5.0, 100) == pytest.approx(dfa_fluctuation(x, 100), rel=1e-9)
+        assert dfa_fluctuation(x + 5.0, [100])[0] == pytest.approx(dfa_fluctuation(x, [100])[0], rel=1e-9)
 
     def test_scaling_homogeneity(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal(4000)
-        f = dfa_fluctuation(x, 200)
-        assert dfa_fluctuation(-3.0 * x, 200) == pytest.approx(3.0 * f, rel=1e-9)
+        f = dfa_fluctuation(x, [200])[0]
+        assert dfa_fluctuation(-3.0 * x, [200])[0] == pytest.approx(3.0 * f, rel=1e-9)
 
     def test_white_noise_alpha_half(self):
         alphas = [
@@ -623,16 +612,29 @@ class TestDfa:
 
     def test_too_short(self):
         with pytest.raises(InvalidArgumentError):
-            dfa_fluctuation(np.ones(150), 100)
+            dfa_fluctuation(np.ones(150), [100])
 
     @pytest.mark.parametrize("n", [1, 100.5, True, None, "100"])
     def test_bad_scale(self, n):
         with pytest.raises(InvalidArgumentError, match="DFA scale"):
-            dfa_fluctuation(np.random.default_rng(0).standard_normal(1000), n)
+            dfa_fluctuation(np.random.default_rng(0).standard_normal(1000), [n])
 
     def test_integral_scale_accepted(self):
         x = np.random.default_rng(0).standard_normal(1000)
-        assert dfa_fluctuation(x, 100.0) == dfa_fluctuation(x, np.int64(100)) == dfa_fluctuation(x, 100)
+        assert dfa_fluctuation(x, [100.0])[0] == dfa_fluctuation(x, [np.int64(100)])[0] == dfa_fluctuation(x, [100])[0]
+
+    def test_one_profile_per_clip(self, monkeypatch, speech):
+        """`msdfa_features` and `dfa_exponent` each make one `dfa_fluctuation`
+        call per clip, counted through its bindings in nld and featmaps, which
+        the benchmark's tracer wraps; MSDFA passes only the scales that fit."""
+        calls = []
+        for module in (nld, featmaps):
+            monkeypatch.setattr(module, "dfa_fluctuation", lambda x, s: calls.append(list(s)) or dfa_fluctuation(x, s))
+        wf = speech(3.0)
+        msdfa_features(wf)
+        msdfa_features(Waveform(wf.samples[:1000], wf.rate))  # 600 is longer than half the clip
+        dfa_exponent(wf.samples, SCALES)
+        assert calls == [list(SCALES), [100, 200, 300, 500], list(SCALES)]
 
     def test_exponent_needs_two_scales(self):
         with pytest.raises(InvalidArgumentError):
@@ -647,36 +649,37 @@ class TestDfa:
         if rounded:
             x = pcm16(0.1 * x)
         scaled = np.ldexp(x, k)
-        for n in SCALES:
-            assert dfa_fluctuation(scaled, n) == np.ldexp(dfa_fluctuation(x, n), k)
+        assert np.array_equal(dfa_fluctuation(scaled, SCALES), np.ldexp(dfa_fluctuation(x, SCALES), k))
         d, ds = poincare_sd(x), poincare_sd(scaled)
         assert (ds.sd1, ds.sd2) == (np.ldexp(d.sd1, k), np.ldexp(d.sd2, k))
         assert ds.clamped == d.clamped
 
     @given(
         seed=st.integers(0, 2**16),
-        n=st.integers(2, 300),
+        scales=st.lists(st.integers(2, 300), min_size=1, max_size=5, unique=True),
         extra=st.integers(0, 299),
         rounded=st.booleans(),
         k=st.integers(-600, 600),
     )
     @settings(max_examples=100, deadline=None)
-    def test_matches_least_squares_reference(self, seed, n, extra, rounded, k):
-        """The closed-form line per box gives lstsq's fluctuation to about
-        1e-15 relative; at n = 2 the fluctuation is exactly 0 and lstsq's
-        rounding dust is inside the absolute bound."""
-        x = np.random.default_rng(seed).standard_normal(2 * n + extra)
+    def test_matches_least_squares_reference(self, seed, scales, extra, rounded, k):
+        """Every scale of one call is that scale's own call bit for bit, and
+        the closed-form line per box gives lstsq's fluctuation to about 1e-15
+        relative; at n = 2 the fluctuation is exactly 0 and lstsq's rounding
+        dust is inside the absolute bound."""
+        x = np.random.default_rng(seed).standard_normal(2 * max(scales) + extra)
         if rounded:
             x = pcm16(0.1 * x)
         x = np.ldexp(x, k)
-        expected = reference_dfa(x, n)
-        assert dfa_fluctuation(x, n) == pytest.approx(expected, rel=1e-12, abs=1e-12 * np.abs(x).max())
+        for n, f in zip(sorted(scales), dfa_fluctuation(x, scales)):
+            assert f == dfa_fluctuation(x, [n])[0]
+            assert f == pytest.approx(reference_dfa(x, n), rel=1e-12, abs=1e-12 * np.abs(x).max())
 
     def test_overflowing_fluctuation_raises(self, speech):
         wf = speech(0.5)
         loud = Waveform(np.ldexp(wf.samples, 1023), wf.rate)
         calls = [
-            lambda: dfa_fluctuation(loud.samples, 200),
+            lambda: dfa_fluctuation(loud.samples, [200]),
             lambda: dfa_exponent(loud.samples, SCALES),
             lambda: msdfa_features(loud),
         ]
@@ -782,8 +785,8 @@ class TestPoincare:
 @pytest.mark.parametrize(
     "call",
     [
-        pytest.param(lambda x: dfa_fluctuation(x, 100), id="dfa_fluctuation"),
-        pytest.param(lambda x: dfa_fluctuation(x, 2), id="dfa_fluctuation_at_2"),
+        pytest.param(lambda x: dfa_fluctuation(x, [100]), id="dfa_fluctuation"),
+        pytest.param(lambda x: dfa_fluctuation(x, [2]), id="dfa_fluctuation_at_2"),
         pytest.param(lambda x: dfa_exponent(x, SCALES), id="dfa_exponent"),
         pytest.param(poincare_sd, id="poincare_sd"),
         pytest.param(lambda x: recurrence_plot(x[:300]), id="recurrence_plot"),

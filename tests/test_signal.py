@@ -292,11 +292,18 @@ def float32_wav_at(path, rate):
 class TestHeaderRate:
     def test_highest_rate_loads(self, tmp_path):
         assert load_wav(float32_wav_at(tmp_path / "x.wav", 768_000)).rate == 768_000
+        for encoding in ("float32", "pcm16"):  # and save_wav writes it in either encoding
+            save_wav(tmp_path / "y.wav", Waveform(np.zeros(8), 768_000), encoding)
+            assert load_wav(tmp_path / "y.wav").rate == 768_000
 
-    @pytest.mark.parametrize("rate", [768_001, 2**32 - 1])
+    @pytest.mark.parametrize("rate", [768_001, 2**30, 2**32 - 1])
     def test_higher_rate_rejected(self, tmp_path, rate):
         with pytest.raises(UnsupportedEncodingError, match=f"sample rate of {rate} Hz is above"):
             load_wav(float32_wav_at(tmp_path / "x.wav", rate))
+        # save_wav refuses it before opening the file, not with a struct.error
+        with pytest.raises(InvalidArgumentError, match=f"sample rate of {rate} Hz is above"):
+            save_wav(tmp_path / "y.wav", Waveform(np.zeros(8), rate))
+        assert not (tmp_path / "y.wav").exists()
 
     def test_degrade_exits_before_any_resample_plan(self, tmp_path, capsys):
         path = float32_wav_at(tmp_path / "x.wav", 2**32 - 1)

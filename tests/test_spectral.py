@@ -3,7 +3,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.signal import check_COLA
 from scipy.signal.windows import hann
@@ -181,6 +181,7 @@ class TestFrameBlocks:
     def test_lsd_matches_one_shot(self, frames, extra, noise, seed):
         # centered frames: a clip of n samples has 1 + n // hop of them
         n = LSD_CONFIG["hop"] * (frames - 1) + extra
+        assume(n > 0)  # an empty clip raises, as test_metrics.py's test_empty_clip_raises checks
         rng = np.random.default_rng(seed)
         ref = Waveform(rng.standard_normal(n), 16000)
         est = Waveform(ref.samples + noise * rng.standard_normal(n), 16000)
@@ -192,7 +193,7 @@ class TestFrameBlocks:
         with pytest.raises(InvalidArgumentError), np.errstate(over="ignore"):
             lsd(loud, Waveform(1e306 * degrade(clip, 16000).samples, clip.rate))
 
-    @pytest.mark.parametrize("n", [0, 1, 100, LSD_CONFIG["n_fft"] - 1])
+    @pytest.mark.parametrize("n", [1, 100, LSD_CONFIG["n_fft"] - 1])
     def test_lsd_shorter_than_a_frame(self, n):
         # centering pads every clip to at least one frame, so none is too short
         rng = np.random.default_rng(5)
